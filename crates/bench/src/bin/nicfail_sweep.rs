@@ -5,8 +5,6 @@
 //!
 //! One arm per fault class (plus a fault-free baseline), all at the
 //! same 0.8× calibrated offered load with the fault injected mid-run.
-//! Pass `--smoke` for a CI-sized run (the sweep is already small; the
-//! flag exists so the CI invocation is explicit about its intent).
 //! `--scale N` (or `LAUBERHORN_SCALE=N`) stretches every arm's load
 //! window by `N`× with the fault still landing at the midpoint.
 

@@ -3,8 +3,6 @@
 //! artifact `BENCH_overload.json` (schema `lauberhorn-bench/v1`,
 //! validated before writing).
 //!
-//! Pass `--smoke` for a CI-sized run (the sweep is already small; the
-//! flag exists so the CI invocation is explicit about its intent).
 //! `--scale N` (or `LAUBERHORN_SCALE=N`) stretches every point's load
 //! window by `N`× at the same offered-load multipliers.
 

@@ -5,8 +5,6 @@
 //! tenants meeting their p99 SLO) alongside the storm intensity and
 //! whether isolation was armed.
 //!
-//! Pass `--smoke` for a CI-sized run (the sweep is already small; the
-//! flag exists so the CI invocation is explicit about its intent).
 //! `--scale N` (or `LAUBERHORN_SCALE=N`) stretches every arm's load
 //! window by `N`× at the same offered loads.
 

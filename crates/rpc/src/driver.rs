@@ -18,8 +18,8 @@ use lauberhorn_sim::{AimdPacer, SimDuration, SimRng, SimTime};
 
 use crate::report::Report;
 use crate::spec::{LoadMode, PayloadGen, WorkloadSpec};
-use crate::stack::ServerStack;
-use crate::wire::{build_request, RequestTimes, RetryPolicy};
+use crate::stack::{Outcome, ServerStack, TenantLedger};
+use crate::wire::{build_request, RetryPolicy};
 
 /// Client-side events, interleaved with the stack's internal queue.
 #[derive(Debug)]
@@ -61,15 +61,6 @@ impl RequestDigest {
         self.absorb(&service.to_le_bytes());
         self.absorb(payload);
     }
-}
-
-/// Client-side record of an unanswered request, kept while a
-/// [`RetryPolicy`] is in force.
-struct Outstanding {
-    /// The exact frame, shared by reference with every in-flight copy.
-    raw: PktBuf,
-    /// Which closed-loop client issued it.
-    client: usize,
 }
 
 /// Puts one request frame on the wire, applying transmit-leg faults.
@@ -136,7 +127,6 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     let client_addr = EndpointAddr::host(2, 7000);
     let mut digest = RequestDigest::new();
     let mut next_request_id = 0u64;
-    let mut client_of = std::collections::BTreeMap::new();
 
     // Fault/retry machinery: all `None`/empty on a clean run, in which
     // case no extra RNG stream is created and no extra event is ever
@@ -149,8 +139,6 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
         .wire_tx
         .enabled()
         .then(|| FaultInjector::new(workload.faults.wire_tx, workload.seed, "fault.wire.tx"));
-    let mut outstanding: std::collections::BTreeMap<u64, Outstanding> =
-        std::collections::BTreeMap::new();
 
     // Tenant-scoped fault storm: applied at generation time, where the
     // tenant is known. The dedicated stream exists (and is drawn from)
@@ -161,17 +149,10 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     let mut tenant_malformed: u64 = 0;
     let mut tenant_storm_extra: u64 = 0;
 
-    // Per-tenant SLO ledgers, kept host-side whenever the workload
-    // carries a tenancy plan — enforcing *or* measurement-only — so
-    // the unbounded baseline arm is scored against the same SLOs.
+    // Per-tenant SLO ledgers are kept (in `StackCommon`) whenever the
+    // workload carries a tenancy plan — enforcing *or* measurement-only
+    // — so the unbounded baseline arm is scored against the same SLOs.
     let tenancy = workload.overload.as_ref().and_then(|o| o.tenancy.as_ref());
-    let mut tenant_of: std::collections::BTreeMap<u64, u16> = std::collections::BTreeMap::new();
-    let mut tenant_offered: std::collections::BTreeMap<u16, u64> =
-        std::collections::BTreeMap::new();
-    let mut tenant_completed: std::collections::BTreeMap<u16, u64> =
-        std::collections::BTreeMap::new();
-    let mut tenant_rtt: std::collections::BTreeMap<u16, lauberhorn_sim::Histogram> =
-        std::collections::BTreeMap::new();
 
     // When the workload declares a deadline-shedding budget and the
     // retry policy has no wall-clock budget of its own, a retransmit
@@ -222,331 +203,175 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
         // Pick the earliest event across both queues.
         let client_t = stack.common().client_q.peek_time();
         let stack_t = stack.next_event_time();
-        let client_side = match (client_t, stack_t) {
-            (Some(c), Some(s)) => c <= s,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
+        let (now, client_side) = match (client_t, stack_t) {
+            (Some(c), Some(s)) => (c.min(s), c <= s),
+            (Some(c), None) => (c, true),
+            (None, Some(s)) => (s, false),
             (None, None) => break,
         };
-
-        if client_side {
-            let Some((now, ev)) = stack.common().client_q.pop() else {
-                break;
-            };
-            last_now = now;
-            let common = stack.common();
-            if now > common.hard_end {
-                break;
-            }
-            if now > common.end_of_load
-                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered
-            {
-                break;
-            }
-            match ev {
-                ClientEv::Gen { client } => {
-                    if now <= stack.common().end_of_load {
-                        let request_id = next_request_id;
-                        next_request_id += 1;
-                        let service = workload.mix.sample(&mut client_rng, now);
-                        let payload: Vec<u8> = match &workload.payload {
-                            Some(PayloadGen::Script(f)) => f(request_id),
-                            Some(PayloadGen::Random(d)) => {
-                                let size = d.sample(&mut client_rng);
-                                (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
-                            }
-                            None => {
-                                let size = workload.request_bytes.sample(&mut client_rng);
-                                (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
-                            }
-                        };
-                        digest.absorb_request(request_id, service, &payload);
-                        let raw = build_request(
-                            client_addr,
-                            stack.server_addr(service),
-                            service,
-                            0,
-                            request_id,
-                            &payload,
-                            0,
-                        );
-                        client_of.insert(request_id, client);
-                        if tenancy.is_some() {
-                            tenant_of.insert(request_id, service);
-                            *tenant_offered.entry(service).or_default() += 1;
-                        }
-                        let common = stack.common();
-                        if common.tracer.is_enabled() {
-                            // Blame profiles slice per service; the
-                            // map exists only while tracing, so clean
-                            // runs allocate nothing.
-                            common.service_of.insert(request_id, service);
-                        }
-                        common.metrics.offered += 1;
-                        common.times.insert(
-                            request_id,
-                            RequestTimes {
-                                sent: now,
-                                ..Default::default()
-                            },
-                        );
-                        if let Some(policy) = &retry {
-                            outstanding.insert(
-                                request_id,
-                                Outstanding {
-                                    raw: raw.clone(),
-                                    client,
-                                },
-                            );
-                            if let Some(rng) = retry_rng.as_mut() {
-                                let rto = jittered_rto(policy, 1, rng);
-                                common.client_q.schedule(
-                                    now + rto,
-                                    ClientEv::Retry {
-                                        request_id,
-                                        attempt: 1,
-                                    },
-                                );
-                            }
-                        }
-                        match tenant_fault.filter(|tf| tf.tenant == service) {
-                            Some(tf) => {
-                                // Malformed: corrupt the transmitted
-                                // copy only; the retransmit copy held
-                                // in `outstanding` stays pristine.
-                                let mut wire = raw.clone();
-                                if let Some(rng) =
-                                    tenant_fault_rng.as_mut().filter(|_| tf.malformed > 0.0)
-                                {
-                                    if rng.gen_f64() < tf.malformed {
-                                        let len = wire.len();
-                                        let offset = rng
-                                            .gen_range(ETH_HEADER_LEN..len.max(ETH_HEADER_LEN + 1));
-                                        let bit = rng.gen_range(0..8) as u8;
-                                        FaultInjector::apply_corruption(
-                                            wire.make_mut(),
-                                            offset,
-                                            bit,
-                                        );
-                                        tenant_malformed += 1;
-                                        stack.common().metrics.faults.corrupted += 1;
-                                    }
-                                }
-                                send_frame(stack, &mut tx_fault, now, wire, request_id);
-                                // Storm amplification: duplicates with
-                                // the same request id (at-most-once is
-                                // on the hook for them).
-                                for _ in 0..tf.storm_extra {
-                                    tenant_storm_extra += 1;
-                                    send_frame(stack, &mut tx_fault, now, raw.clone(), request_id);
-                                }
-                            }
-                            None => send_frame(stack, &mut tx_fault, now, raw, request_id),
-                        }
-                        if let Some(arr) = arrivals.as_mut() {
-                            let mut gap = arr.next_gap(&mut client_rng);
-                            if let Some(p) = pacer.as_ref() {
-                                // AIMD pacing stretches the open-loop
-                                // gap; without pushback the sampled
-                                // gap is used untouched.
-                                gap = SimDuration::from_ns_f64(gap.as_ns_f64() * p.gap_scale());
-                            }
-                            stack
-                                .common()
-                                .client_q
-                                .schedule(now + gap, ClientEv::Gen { client });
-                        }
-                    }
+        last_now = now;
+        let common = stack.common();
+        if now > common.hard_end
+            || (now > common.end_of_load
+                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered)
+        {
+            break;
+        }
+        if !client_side {
+            stack.step(workload);
+            continue;
+        }
+        let Some((_, ev)) = common.client_q.pop() else {
+            break;
+        };
+        match ev {
+            ClientEv::Gen { client } => {
+                if now > common.end_of_load {
+                    continue;
                 }
-                ClientEv::Response { request_id } => {
-                    // Duplicate deliveries (a replayed dedup answer
-                    // racing the original, or a duplicated response
-                    // frame) are ignored: the first answer won.
-                    let Some(client) = client_of.remove(&request_id) else {
-                        stack.common().metrics.faults.dup_responses += 1;
-                        continue;
-                    };
-                    outstanding.remove(&request_id);
-                    if let Some(p) = pacer.as_mut() {
-                        p.on_success(now);
+                let request_id = next_request_id;
+                next_request_id += 1;
+                let service = workload.mix.sample(&mut client_rng, now);
+                let payload: Vec<u8> = match &workload.payload {
+                    Some(PayloadGen::Script(f)) => f(request_id),
+                    Some(PayloadGen::Random(d)) => {
+                        let size = d.sample(&mut client_rng);
+                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
                     }
-                    let tenant = tenant_of.remove(&request_id);
-                    if let Some(t) = tenant {
-                        *tenant_completed.entry(t).or_default() += 1;
+                    None => {
+                        let size = workload.request_bytes.sample(&mut client_rng);
+                        (0..size).map(|i| (i as u8) ^ (request_id as u8)).collect()
                     }
-                    let common = stack.common();
-                    common.metrics.completed += 1;
-                    let warmed = common.metrics.completed > workload.warmup;
-                    if let Some(times) = common.times.remove(&request_id) {
-                        if warmed {
-                            common.metrics.rtt.record_duration(now.since(times.sent));
-                            if let Some(t) = tenant {
-                                tenant_rtt
-                                    .entry(t)
-                                    .or_default()
-                                    .record_duration(now.since(times.sent));
-                            }
-                            common
-                                .metrics
-                                .end_system
-                                .record_duration(times.end_system());
-                            common.metrics.dispatch.record_duration(times.dispatch());
-                            if let Some(c) = common.sw_cycles_by_req.remove(&request_id) {
-                                common.metrics.sw_cycles += c;
-                            }
-                            common.metrics.measured += 1;
-                        } else {
-                            common.sw_cycles_by_req.remove(&request_id);
-                        }
-                    }
-                    if let LoadMode::Closed { think, .. } = &workload.mode {
-                        if now + *think <= common.end_of_load {
-                            common
-                                .client_q
-                                .schedule(now + *think, ClientEv::Gen { client });
-                        }
-                    }
-                }
-                ClientEv::Retry {
+                };
+                digest.absorb_request(request_id, service, &payload);
+                let raw = build_request(
+                    client_addr,
+                    stack.server_addr(service),
+                    service,
+                    0,
                     request_id,
-                    attempt,
-                } => {
-                    let Some(policy) = retry else {
-                        // A retry event without a policy: stale state.
-                        continue;
+                    &payload,
+                    0,
+                );
+                let common = stack.common();
+                common.issue(request_id, now, client, service, retry.map(|_| raw.clone()));
+                if let (Some(policy), Some(rng)) = (&retry, retry_rng.as_mut()) {
+                    let rto = jittered_rto(policy, 1, rng);
+                    let first = ClientEv::Retry {
+                        request_id,
+                        attempt: 1,
                     };
-                    if attempt >= policy.max_attempts {
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            // Answered (or already abandoned): stale timer.
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        let common = stack.common();
-                        common.metrics.faults.retries_exhausted += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            // Keep the closed-loop client alive: it
-                            // gives up on this request and moves on.
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else if stack
-                        .common()
-                        .times
-                        .get(&request_id)
-                        .is_some_and(|t| policy.budget_exhausted(t.sent, now))
-                    {
-                        // The wall-clock retry budget ran out before the
-                        // attempt bound: terminal `Timeout`, not another
-                        // round of max-backoff retransmissions.
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        let common = stack.common();
-                        common.metrics.faults.timeouts += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else if retry_deadline.is_some_and(|d| {
-                        stack
-                            .common()
-                            .times
-                            .get(&request_id)
-                            .is_some_and(|t| now.since(t.sent) > d)
-                    }) {
-                        // The workload's overload deadline has already
-                        // passed for this request: a retransmission now
-                        // would arrive only to be shed as stale at
-                        // dispatch. Terminal `Timeout` here instead of
-                        // fired-and-shed wasted wire and queue work.
-                        let Some(o) = outstanding.remove(&request_id) else {
-                            continue;
-                        };
-                        client_of.remove(&request_id);
-                        deadline_suppressed += 1;
-                        let common = stack.common();
-                        common.metrics.faults.timeouts += 1;
-                        common.abandon_request(request_id, now);
-                        common.dedup_forget(request_id);
-                        if let LoadMode::Closed { think, .. } = &workload.mode {
-                            if now + *think <= common.end_of_load {
-                                common
-                                    .client_q
-                                    .schedule(now + *think, ClientEv::Gen { client: o.client });
-                            }
-                        }
-                    } else {
-                        let Some(raw) = outstanding.get(&request_id).map(|o| o.raw.clone()) else {
-                            // Answered (or already abandoned): stale timer.
-                            continue;
-                        };
-                        let common = stack.common();
-                        common.metrics.faults.retransmits += 1;
-                        if let Some(rng) = retry_rng.as_mut() {
-                            let next = attempt + 1;
-                            let rto = jittered_rto(&policy, next, rng);
-                            common.client_q.schedule(
-                                now + rto,
-                                ClientEv::Retry {
-                                    request_id,
-                                    attempt: next,
-                                },
-                            );
-                        }
-                        send_frame(stack, &mut tx_fault, now, raw, request_id);
-                    }
+                    common.client_q.schedule(now + rto, first);
                 }
-                ClientEv::Pushback { request_id, hint } => {
-                    // The server refused the request under overload and
-                    // said so explicitly: terminate it here (no point
-                    // retransmitting into a shedding server) and slow
-                    // the generator down.
-                    let Some(client) = client_of.remove(&request_id) else {
-                        // Already answered or abandoned: stale NACK.
-                        continue;
-                    };
-                    outstanding.remove(&request_id);
+                match tenant_fault.filter(|tf| tf.tenant == service) {
+                    Some(tf) => {
+                        // Malformed: corrupt the transmitted copy only; the
+                        // retransmit copy in the request record stays pristine.
+                        let mut wire = raw.clone();
+                        if let Some(rng) = tenant_fault_rng.as_mut().filter(|_| tf.malformed > 0.0)
+                        {
+                            if rng.gen_f64() < tf.malformed {
+                                let len = wire.len();
+                                let offset =
+                                    rng.gen_range(ETH_HEADER_LEN..len.max(ETH_HEADER_LEN + 1));
+                                let bit = rng.gen_range(0..8) as u8;
+                                FaultInjector::apply_corruption(wire.make_mut(), offset, bit);
+                                tenant_malformed += 1;
+                                stack.common().metrics.faults.corrupted += 1;
+                            }
+                        }
+                        send_frame(stack, &mut tx_fault, now, wire, request_id);
+                        // Storm amplification: duplicates with the same
+                        // request id (at-most-once is on the hook for them).
+                        for _ in 0..tf.storm_extra {
+                            tenant_storm_extra += 1;
+                            send_frame(stack, &mut tx_fault, now, raw.clone(), request_id);
+                        }
+                    }
+                    None => send_frame(stack, &mut tx_fault, now, raw, request_id),
+                }
+                if let Some(arr) = arrivals.as_mut() {
+                    let mut gap = arr.next_gap(&mut client_rng);
+                    if let Some(p) = pacer.as_ref() {
+                        // AIMD pacing stretches the open-loop gap; without
+                        // pushback the sampled gap is used untouched.
+                        gap = SimDuration::from_ns_f64(gap.as_ns_f64() * p.gap_scale());
+                    }
+                    stack
+                        .common()
+                        .client_q
+                        .schedule(now + gap, ClientEv::Gen { client });
+                }
+            }
+            ClientEv::Response { request_id } => {
+                // Duplicate deliveries (a replayed dedup answer
+                // racing the original, or a duplicated response
+                // frame) are ignored: the first answer won.
+                if !stack.common().retire(request_id, Outcome::Completed, now) {
+                    stack.common().metrics.faults.dup_responses += 1;
+                } else if let Some(p) = pacer.as_mut() {
+                    p.on_success(now);
+                }
+            }
+            ClientEv::Retry {
+                request_id,
+                attempt,
+            } => {
+                let common = stack.common();
+                let (Some(policy), Some(rec)) = (retry, common.request(request_id)) else {
+                    // No policy (stale state), or the request was already
+                    // answered or abandoned: a stale timer.
+                    continue;
+                };
+                let (sent, raw) = (rec.times.sent, rec.retransmit.clone());
+                // Terminal before another retransmission: the
+                // attempt bound, then the wall-clock retry budget,
+                // then the workload's overload deadline — past it a
+                // retransmit would only be shed as stale at
+                // dispatch, wasted wire and queue work.
+                let outcome = if attempt >= policy.max_attempts {
+                    Some(Outcome::RetriesExhausted)
+                } else if policy.budget_exhausted(sent, now) {
+                    Some(Outcome::Timeout)
+                } else if retry_deadline.is_some_and(|d| now.since(sent) > d) {
+                    deadline_suppressed += 1;
+                    Some(Outcome::Timeout)
+                } else {
+                    None
+                };
+                if let Some(outcome) = outcome {
+                    common.retire(request_id, outcome, now);
+                    continue;
+                }
+                let Some(raw) = raw else {
+                    continue;
+                };
+                common.metrics.faults.retransmits += 1;
+                if let Some(rng) = retry_rng.as_mut() {
+                    let next = attempt + 1;
+                    let rto = jittered_rto(&policy, next, rng);
+                    common.client_q.schedule(
+                        now + rto,
+                        ClientEv::Retry {
+                            request_id,
+                            attempt: next,
+                        },
+                    );
+                }
+                send_frame(stack, &mut tx_fault, now, raw, request_id);
+            }
+            ClientEv::Pushback { request_id, hint } => {
+                // The server refused the request under overload and
+                // said so explicitly: terminate it here (no point
+                // retransmitting into a shedding server) and slow
+                // the generator down. A NACK for a request already
+                // answered or abandoned is stale.
+                if stack.common().retire(request_id, Outcome::Pushback, now) {
                     if let Some(p) = pacer.as_mut() {
                         p.on_pushback(hint, now);
                     }
-                    let common = stack.common();
-                    common.abandon_request(request_id, now);
-                    common.dedup_forget(request_id);
-                    if let LoadMode::Closed { think, .. } = &workload.mode {
-                        if now + *think <= common.end_of_load {
-                            common
-                                .client_q
-                                .schedule(now + *think, ClientEv::Gen { client });
-                        }
-                    }
                 }
             }
-        } else {
-            let Some(now) = stack_t else {
-                break;
-            };
-            last_now = now;
-            let common = stack.common();
-            if now > common.hard_end {
-                break;
-            }
-            if now > common.end_of_load
-                && common.metrics.completed + common.metrics.dropped >= common.metrics.offered
-            {
-                break;
-            }
-            stack.step(workload);
         }
     }
 
@@ -557,43 +382,33 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
     // requests) so the balance invariant holds for exported traces.
     common.tracer.finish(end);
     common.metrics.request_digest = digest.0;
+    let reg = &mut common.metrics.registry;
     if let Some(p) = pacer.as_ref() {
         // Only reached when overload pushback was armed, so these
         // entries never enter a clean run's digest.
-        common
-            .metrics
-            .registry
-            .counter("rpc.overload.pushbacks", p.pushbacks);
-        common
-            .metrics
-            .registry
-            .gauge("rpc.overload.pacer_factor", p.factor());
+        reg.counter("rpc.overload.pushbacks", p.pushbacks);
+        reg.gauge("rpc.overload.pacer_factor", p.factor());
     }
     if deadline_suppressed > 0 {
         // Only non-zero when deadline shedding and a budget-less retry
         // policy are both armed, so clean runs never see this entry.
-        common
-            .metrics
-            .registry
-            .counter("rpc.retry.deadline_suppressed", deadline_suppressed);
+        reg.counter("rpc.retry.deadline_suppressed", deadline_suppressed);
     }
     if let Some(tcfg) = tenancy {
         // Per-tenant SLO attainment ledgers. Present only when a
         // tenancy plan rode along with the workload (enforcing or
         // observe-only), so untenanted digests are untouched. A tenant
         // with no measured completions does not meet its SLO.
+        let ledgers = common.tenants.take().unwrap_or_default();
+        let idle = TenantLedger::default();
         let reg = &mut common.metrics.registry;
         let mut met: u64 = 0;
         for spec in &tcfg.tenants {
             let t = spec.tenant;
-            let offered = tenant_offered.get(&t).copied().unwrap_or(0);
-            let completed = tenant_completed.get(&t).copied().unwrap_or(0);
-            reg.counter(&format!("rpc.tenant.offered.s{t}"), offered);
-            reg.counter(&format!("rpc.tenant.completed.s{t}"), completed);
-            let p99_ps = tenant_rtt
-                .get(&t)
-                .filter(|h| h.count() > 0)
-                .map(|h| h.quantile(0.99));
+            let ledger = ledgers.get(&t).unwrap_or(&idle);
+            reg.counter(&format!("rpc.tenant.offered.s{t}"), ledger.offered);
+            reg.counter(&format!("rpc.tenant.completed.s{t}"), ledger.completed);
+            let p99_ps = (ledger.rtt.count() > 0).then(|| ledger.rtt.quantile(0.99));
             if let Some(p99_ps) = p99_ps {
                 reg.gauge(&format!("rpc.tenant.rtt_p99_us.s{t}"), p99_ps as f64 / 1e6);
             }
@@ -630,22 +445,7 @@ pub fn run(stack: &mut (impl ServerStack + ?Sized), workload: &WorkloadSpec) -> 
                 rec.p99_estimate_ps() as f64 / 1e6,
             );
         }
-        // Critical-path blame: over the full buffer normally, over the
-        // retained outlier trees when the recorder recycled the rest.
-        let paths = match common.flightrec.as_ref() {
-            Some(rec) => {
-                let mut paths = Vec::new();
-                for tree in rec.trees() {
-                    paths.extend(lauberhorn_sim::critical_paths(&tree.spans));
-                }
-                paths
-            }
-            None => lauberhorn_sim::critical_paths(common.tracer.spans()),
-        };
-        Some(lauberhorn_sim::BlameProfile::build(
-            &paths,
-            &common.service_of,
-        ))
+        Some(common.blame_profile())
     } else {
         None
     };

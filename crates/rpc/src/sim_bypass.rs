@@ -336,8 +336,8 @@ impl BypassSim {
         let sw_total = sw + m.copy(self.spec_of(service).response_bytes);
         let spec_time = self.spec_of(service).service_time;
         let handler = spec_time.sample(&mut self.common.rng);
-        if let Some(t) = self.common.times.get_mut(&pkt.request_id) {
-            t.handler_start = now + self.cost.cycles(sw);
+        if let Some(r) = self.common.request_mut(pkt.request_id) {
+            r.times.handler_start = now + self.cost.cycles(sw);
         }
         // Attributed per request (the driver folds it in only for
         // warmed completions, like the other stacks).
@@ -396,18 +396,16 @@ impl BypassSim {
                 now + self.nic.doorbell_cost()
             }
         };
-        if let Some(t) = self.common.times.get_mut(&request_id) {
-            t.handler_end = now;
-            t.response_tx = tx_done;
+        if let Some(r) = self.common.request_mut(request_id) {
+            r.times.handler_end = now;
+            r.times.response_tx = tx_done;
         }
         if self.common.tracer.is_enabled() {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
+                .request(request_id)
+                .map_or(now, |r| r.times.handler_start);
             let tr = &mut self.common.tracer;
             tr.span(
                 Stage::Handler,

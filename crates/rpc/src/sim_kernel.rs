@@ -501,8 +501,8 @@ impl KernelSim {
         }
         let (s0, handler_start) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        if let Some(t) = self.common.times.get_mut(&request_id) {
-            t.handler_start = handler_start;
+        if let Some(r) = self.common.request_mut(request_id) {
+            r.times.handler_start = handler_start;
         }
         if self.common.tracer.is_enabled() {
             // Sub-span boundaries re-derive the cost breakdown from the
@@ -593,18 +593,16 @@ impl KernelSim {
                 end + self.nic.doorbell_cost()
             }
         };
-        if let Some(t) = self.common.times.get_mut(&request_id) {
-            t.handler_end = now;
-            t.response_tx = tx_done;
+        if let Some(r) = self.common.request_mut(request_id) {
+            r.times.handler_end = now;
+            r.times.response_tx = tx_done;
         }
         if self.common.tracer.is_enabled() {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
+                .request(request_id)
+                .map_or(now, |r| r.times.handler_start);
             let tr = &mut self.common.tracer;
             tr.span(
                 Stage::Handler,

@@ -195,8 +195,6 @@ pub struct LauberhornSim {
     /// held in *reverse* delivery order so `step` pops from the back.
     batch: Vec<(SimTime, Ev)>,
     common: StackCommon,
-    /// Response payloads produced by real handlers, by request id.
-    resp_payload: BTreeMap<u64, Vec<u8>>,
     record_responses: bool,
     server_addr: EndpointAddr,
     trace: Trace,
@@ -316,7 +314,6 @@ impl LauberhornSim {
             q: EventQueue::new(),
             batch: Vec::new(),
             common: StackCommon::new(cfg.wire),
-            resp_payload: BTreeMap::new(),
             record_responses: false,
             server_addr,
             trace: Trace::disabled(),
@@ -789,8 +786,8 @@ impl LauberhornSim {
                     let _ = arg_len; // Args arrived in-line: already in registers.
                 }
                 self.common.charge_req(request_id, sw);
-                if let Some(times) = self.common.times.get_mut(&request_id) {
-                    times.handler_start = t;
+                if let Some(r) = self.common.request_mut(request_id) {
+                    r.times.handler_start = t;
                 }
                 // Application logic: run the real handler over the bytes
                 // that actually arrived through the stack.
@@ -810,8 +807,9 @@ impl LauberhornSim {
                                         resp.len() + 2 <= self.coh.line_size(),
                                         "handler response exceeds the control line"
                                     );
-                                    // lint:allow(unbounded-growth): one entry per in-flight request, removed on completion
-                                    self.resp_payload.insert(request_id, resp);
+                                    if let Some(r) = self.common.request_mut(request_id) {
+                                        r.resp_payload = Some(resp);
+                                    }
                                 }
                             }
                         }
@@ -832,8 +830,8 @@ impl LauberhornSim {
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, now: SimTime) {
         self.ctx_mut(core).cur_req = None;
-        if let Some(times) = self.common.times.get_mut(&request_id) {
-            times.handler_end = now;
+        if let Some(r) = self.common.request_mut(request_id) {
+            r.times.handler_end = now;
         }
         // Write the response into the CONTROL line we hold Exclusive.
         let Some(addr) = self.ctx_mut(core).resp_addr.take() else {
@@ -847,7 +845,11 @@ impl LauberhornSim {
                 return;
             }
         };
-        let resp: Vec<u8> = match self.resp_payload.get(&request_id) {
+        let payload = self
+            .common
+            .request(request_id)
+            .and_then(|r| r.resp_payload.as_ref());
+        let resp: Vec<u8> = match payload {
             Some(r) => r.clone(),
             None => {
                 let resp_len = self.spec_of(service).response_bytes;
@@ -861,10 +863,8 @@ impl LauberhornSim {
             let root = self.common.root_span(request_id);
             let handler_start = self
                 .common
-                .times
-                .get(&request_id)
-                .map(|t| t.handler_start)
-                .unwrap_or(now);
+                .request(request_id)
+                .map_or(now, |r| r.times.handler_start);
             let tr = &mut self.common.tracer;
             tr.span(
                 Stage::Handler,
@@ -896,7 +896,11 @@ impl LauberhornSim {
         now: SimTime,
     ) {
         let (data, lat) = self.coh.device_fetch_exclusive(line);
-        let resp_len = match self.resp_payload.remove(&ctx.request_id) {
+        let expected = self
+            .common
+            .request_mut(ctx.request_id)
+            .and_then(|r| r.resp_payload.take());
+        let resp_len = match expected {
             Some(expected) => {
                 // End-to-end data integrity: the bytes pulled out of the
                 // core's cache are exactly what the handler produced.
@@ -928,8 +932,8 @@ impl LauberhornSim {
             }
         };
         let tx_time = now + lat;
-        if let Some(times) = self.common.times.get_mut(&ctx.request_id) {
-            times.response_tx = tx_time;
+        if let Some(r) = self.common.request_mut(ctx.request_id) {
+            r.times.response_tx = tx_time;
         }
         let root = self.common.root_span(ctx.request_id);
         self.common.tracer.span(
@@ -1009,8 +1013,7 @@ impl LauberhornSim {
                 // Mid-handler: the execution is lost with the process.
                 // lint:allow(unbounded-growth): one entry per injected crash; bounded by the fault plan
                 self.crashed.insert(rid);
-                self.resp_payload.remove(&rid);
-                self.common.dedup_forget(rid);
+                // Releases the lost execution from the dedup window.
                 self.common.drop_request(rid, now);
                 if let Some(addr) = self.ctx_mut(core).resp_addr.take() {
                     self.coh.drop_line(CacheId(core), addr);

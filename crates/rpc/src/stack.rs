@@ -17,11 +17,14 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::CycleAccount;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
 use lauberhorn_sim::flightrec::FlightRecorder;
-use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, SpanTracer, Stage};
+use lauberhorn_sim::{
+    critical_paths, BlameProfile, EventQueue, Histogram, SimDuration, SimRng, SimTime, SpanId,
+    SpanTracer, Stage,
+};
 
 use crate::driver::ClientEv;
 use crate::report::MetricsCollector;
-use crate::spec::{ServiceSpec, WorkloadSpec};
+use crate::spec::{LoadMode, ServiceSpec, WorkloadSpec};
 use crate::wire::{RequestTimes, WireModel};
 
 /// Nominal on-wire size of a replayed response frame (Eth/IPv4/UDP
@@ -144,9 +147,100 @@ impl MachineConfig {
     }
 }
 
-/// Driver-visible state every stack owns: metrics, per-request
-/// bookkeeping, the server-side RNG, and the client-side event queue
-/// the generic driver drains.
+/// Why a request's record left [`StackCommon`]: the argument of
+/// [`StackCommon::retire`], the one exit every request takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// The first response reached the client.
+    Completed,
+    /// A stack dropped it and no retry timer takes over. Nothing tells
+    /// the client, so a closed-loop client stays parked on it.
+    Dropped,
+    /// The retry policy's attempt bound ran out.
+    RetriesExhausted,
+    /// The retry policy's wall-clock budget ran out, or a retransmit
+    /// would have landed past the workload's shedding deadline.
+    Timeout,
+    /// A pushback NACK reached the client.
+    Pushback,
+}
+
+/// Everything the simulator tracks about one in-flight request, from
+/// generation ([`StackCommon::issue`]) to its single exit
+/// ([`StackCommon::retire`]).
+#[derive(Debug)]
+pub(crate) struct RequestState {
+    /// Timestamps for latency accounting.
+    pub(crate) times: RequestTimes,
+    /// Target service (tenants are services).
+    service: u16,
+    /// The closed-loop client that issued it.
+    client: usize,
+    /// The exact frame, kept for retransmission while a retry policy
+    /// is in force. Shared by reference with every in-flight copy.
+    pub(crate) retransmit: Option<PktBuf>,
+    /// Stack software overhead cycles attributed so far.
+    sw_cycles: u64,
+    /// Root (`Stage::Request`) span, set when the frame first reaches
+    /// the NIC with tracing on ([`SpanId::NONE`] past the span cap) and
+    /// taken when the tree settles.
+    root: Option<SpanId>,
+    /// Open wait-class span (recovery / retry-wait / shed-backoff), so
+    /// the critical path shows *why* the request stalled.
+    wait: SpanId,
+    /// When the last wait-class stall resolved (zero: none did). Spans
+    /// that backdate to NIC arrival (e.g. CONTROL fill) clamp to this,
+    /// so stalled time stays attributed to the wait, not the fill.
+    wait_resolved: SimTime,
+    /// Response bytes a real handler produced (Lauberhorn stack), held
+    /// from dispatch until the NIC collects the response.
+    pub(crate) resp_payload: Option<Vec<u8>>,
+}
+
+impl RequestState {
+    /// Closes the open wait span (the stall resolved at `now`).
+    fn end_wait(&mut self, tracer: &mut SpanTracer, now: SimTime) {
+        if self.wait.is_some() {
+            tracer.end(self.wait, now);
+            self.wait = SpanId::NONE;
+            self.wait_resolved = self.wait_resolved.max(now);
+        }
+    }
+
+    /// Closes the root span at `at` and hands the finished tree to the
+    /// flight recorder (retain-or-recycle), if one is armed. No-op when
+    /// the request has no root or its tree already settled.
+    fn settle(
+        &mut self,
+        request_id: u64,
+        at: SimTime,
+        tracer: &mut SpanTracer,
+        flightrec: Option<&mut FlightRecorder>,
+    ) {
+        let Some(root) = self.root.take() else {
+            return;
+        };
+        self.end_wait(tracer, at);
+        tracer.end(root, at);
+        if let Some(rec) = flightrec {
+            let latency_ps = at.since(self.times.nic_arrival).as_ps();
+            rec.offer(request_id, self.service, latency_ps, at, tracer);
+        }
+    }
+}
+
+/// One tenant's SLO ledger (tenants are services, DESIGN.md §17).
+#[derive(Debug, Default)]
+pub(crate) struct TenantLedger {
+    pub(crate) offered: u64,
+    pub(crate) completed: u64,
+    /// RTTs of warmed completions.
+    pub(crate) rtt: Histogram,
+}
+
+/// Driver-visible state every stack owns: metrics, the per-request
+/// records, the server-side RNG, and the client-side event queue the
+/// generic driver drains.
 ///
 /// Stacks mutate this directly from their event handlers (noting
 /// arrival times, charging software cycles, completing or dropping
@@ -160,10 +254,8 @@ pub struct StackCommon {
     pub rng: SimRng,
     /// Accumulating run metrics.
     pub metrics: MetricsCollector,
-    /// Timestamps of in-flight requests.
-    pub times: BTreeMap<u64, RequestTimes>,
-    /// Software overhead cycles attributed per request.
-    pub sw_cycles_by_req: BTreeMap<u64, u64>,
+    /// One record per in-flight request, keyed by request id.
+    requests: BTreeMap<u64, RequestState>,
     /// Load generation stops here.
     pub end_of_load: SimTime,
     /// Absolute simulation cutoff (`end_of_load` + drain window).
@@ -171,6 +263,13 @@ pub struct StackCommon {
     /// Client-side events (generation ticks, response arrivals),
     /// interleaved with the stack's own queue by the driver.
     pub(crate) client_q: EventQueue<ClientEv>,
+    /// Completions before measurement starts.
+    warmup: u64,
+    /// Closed-loop think time; `None` for open-loop load.
+    think: Option<SimDuration>,
+    /// Per-tenant SLO ledgers, present when the workload carries a
+    /// tenancy plan.
+    pub(crate) tenants: Option<BTreeMap<u16, TenantLedger>>,
     /// Whether a retransmission policy is in force. When true, stack
     /// drops hand the request back to the client's retry timer instead
     /// of terminating it.
@@ -179,7 +278,9 @@ pub struct StackCommon {
     /// load hint (armed by the workload's `OverloadConfig::pushback`).
     pushback: bool,
     /// At-most-once dedup window, present when duplicates are possible
-    /// (faults or retry enabled). `None` on clean runs: zero cost.
+    /// (faults or retry enabled). `None` on clean runs: zero cost. It
+    /// outlives the request records on purpose: a duplicate can arrive
+    /// after its original was answered.
     dedup: Option<BTreeMap<u64, DedupEntry>>,
     /// Server→client response fault injector (`"fault.wire.rx"`).
     rx_fault: Option<FaultInjector>,
@@ -192,19 +293,11 @@ pub struct StackCommon {
     ///
     /// [`ObserveSpec`]: lauberhorn_sim::ObserveSpec
     pub tracer: SpanTracer,
-    /// Open root (`Stage::Request`) span per in-flight request id.
-    root_spans: BTreeMap<u64, SpanId>,
-    /// Open wait-class span (recovery / retry-wait / shed-backoff) per
-    /// request, so the critical path shows *why* a request stalled.
-    wait_spans: BTreeMap<u64, SpanId>,
-    /// When a request's last wait-class stall resolved. Spans that
-    /// backdate to NIC arrival (e.g. CONTROL fill) clamp to this, so
-    /// stalled time stays attributed to the wait, not the fill.
-    wait_resolved: BTreeMap<u64, SimTime>,
-    /// Target service per request, recorded only while tracing so the
-    /// blame profile gets its per-service dimension. Never read by any
-    /// simulation path.
-    pub service_of: BTreeMap<u64, u16>,
+    /// `(request id, service)` for every root span the full-trace
+    /// tracer recorded — at most `span_cap` entries — so the blame
+    /// profile gets its per-service dimension. With the flight recorder
+    /// armed the retained trees carry their service instead.
+    traced_services: Vec<(u64, u16)>,
     /// Outlier flight recorder, armed by `ObserveSpec::flightrec`.
     /// Analysis-side only: consumes completed span trees.
     pub flightrec: Option<FlightRecorder>,
@@ -217,21 +310,20 @@ impl StackCommon {
             wire,
             rng: SimRng::root(0),
             metrics: MetricsCollector::default(),
-            times: BTreeMap::new(),
-            sw_cycles_by_req: BTreeMap::new(),
+            requests: BTreeMap::new(),
             end_of_load: SimTime::ZERO,
             hard_end: SimTime::ZERO,
             client_q: EventQueue::new(),
+            warmup: 0,
+            think: None,
+            tenants: None,
             retry_active: false,
             pushback: false,
             dedup: None,
             rx_fault: None,
             fill_fault: None,
             tracer: SpanTracer::default(),
-            root_spans: BTreeMap::new(),
-            wait_spans: BTreeMap::new(),
-            wait_resolved: BTreeMap::new(),
-            service_of: BTreeMap::new(),
+            traced_services: Vec::new(),
             flightrec: None,
         }
     }
@@ -240,11 +332,20 @@ impl StackCommon {
     pub fn begin(&mut self, workload: &WorkloadSpec) {
         self.rng = SimRng::stream(workload.seed, "server");
         self.metrics = MetricsCollector::default();
-        self.times.clear();
-        self.sw_cycles_by_req.clear();
+        self.requests.clear();
         self.end_of_load = SimTime::ZERO + workload.duration;
         self.hard_end = self.end_of_load + SimDuration::from_ms(20);
         self.client_q = EventQueue::new();
+        self.warmup = workload.warmup;
+        self.think = match &workload.mode {
+            LoadMode::Closed { think, .. } => Some(*think),
+            LoadMode::Open { .. } => None,
+        };
+        self.tenants = workload
+            .overload
+            .as_ref()
+            .is_some_and(|o| o.tenancy.is_some())
+            .then(BTreeMap::new);
         self.retry_active = workload.effective_retry().is_some();
         self.pushback = workload.overload.as_ref().is_some_and(|o| o.pushback);
         self.dedup = (self.retry_active || workload.faults.enabled()).then(BTreeMap::new);
@@ -258,36 +359,92 @@ impl StackCommon {
             .enabled()
             .then(|| FaultInjector::new(workload.faults.fill, workload.seed, "fault.fill"));
         self.tracer.configure(&workload.observe);
-        self.root_spans.clear();
-        self.wait_spans.clear();
-        self.wait_resolved.clear();
-        self.service_of.clear();
+        self.traced_services.clear();
         self.flightrec = (workload.observe.spans && workload.observe.flightrec)
             .then(|| FlightRecorder::new(workload.observe.flight_cap));
     }
 
-    /// Whether a retransmission policy is in force this run.
-    pub fn retry_active(&self) -> bool {
-        self.retry_active
+    /// Opens the record of a freshly generated request, sent at `now`
+    /// by closed-loop `client` to `service`. `retransmit` holds the
+    /// frame while a retry policy is in force.
+    pub(crate) fn issue(
+        &mut self,
+        request_id: u64,
+        now: SimTime,
+        client: usize,
+        service: u16,
+        retransmit: Option<PktBuf>,
+    ) {
+        self.metrics.offered += 1;
+        if let Some(ledgers) = self.tenants.as_mut() {
+            ledgers.entry(service).or_default().offered += 1;
+        }
+        self.requests.insert(
+            request_id,
+            RequestState {
+                times: RequestTimes {
+                    sent: now,
+                    ..Default::default()
+                },
+                service,
+                client,
+                retransmit,
+                sw_cycles: 0,
+                root: None,
+                wait: SpanId::NONE,
+                wait_resolved: SimTime::ZERO,
+                resp_payload: None,
+            },
+        );
+    }
+
+    /// The record of in-flight `request_id`; `None` once it retired.
+    pub(crate) fn request(&self, request_id: u64) -> Option<&RequestState> {
+        self.requests.get(&request_id)
+    }
+
+    /// Mutable access to in-flight `request_id`'s record.
+    pub(crate) fn request_mut(&mut self, request_id: u64) -> Option<&mut RequestState> {
+        self.requests.get_mut(&request_id)
+    }
+
+    /// Requests generated and not yet retired.
+    pub fn live_requests(&self) -> usize {
+        self.requests.len()
+    }
+
+    /// How many requests' services the blame profile can attribute:
+    /// retained trees with the flight recorder armed, recorded root
+    /// spans otherwise. Bounded by `flight_cap` or `span_cap`.
+    pub fn attributed_requests(&self) -> usize {
+        match self.flightrec.as_ref() {
+            Some(rec) => rec.trees().count(),
+            None => self.traced_services.len(),
+        }
     }
 
     /// Records that `request_id`'s frame reached the server NIC. Under
     /// retransmission only the first arrival counts, so a duplicate
     /// arriving mid-execution cannot corrupt the latency accounting.
     pub fn note_arrival(&mut self, request_id: u64, now: SimTime) {
-        if let Some(t) = self.times.get_mut(&request_id) {
-            if t.nic_arrival == SimTime::ZERO {
-                t.nic_arrival = now;
-                if self.tracer.is_enabled() {
-                    let id = self.tracer.begin(
-                        now,
-                        Stage::Request,
-                        Some(request_id),
-                        SpanId::NONE,
-                        ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
-                    );
-                    self.root_spans.insert(request_id, id);
-                }
+        let Some(rec) = self.requests.get_mut(&request_id) else {
+            return;
+        };
+        if rec.times.nic_arrival != SimTime::ZERO {
+            return;
+        }
+        rec.times.nic_arrival = now;
+        if self.tracer.is_enabled() {
+            let id = self.tracer.begin(
+                now,
+                Stage::Request,
+                Some(request_id),
+                SpanId::NONE,
+                ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
+            );
+            rec.root = Some(id);
+            if id.is_some() && self.flightrec.is_none() {
+                self.traced_services.push((request_id, rec.service));
             }
         }
     }
@@ -296,15 +453,16 @@ impl StackCommon {
     /// tracing is off or the request has no root) — the parent for
     /// every stage span a stack records about this request.
     pub fn root_span(&self, request_id: u64) -> SpanId {
-        self.root_spans
-            .get(&request_id)
-            .copied()
+        self.request(request_id)
+            .and_then(|r| r.root)
             .unwrap_or(SpanId::NONE)
     }
 
     /// Attributes `cycles` of stack software overhead to `request_id`.
     pub fn charge_req(&mut self, request_id: u64, cycles: u64) {
-        *self.sw_cycles_by_req.entry(request_id).or_insert(0) += cycles;
+        if let Some(rec) = self.requests.get_mut(&request_id) {
+            rec.sw_cycles += cycles;
+        }
     }
 
     /// Opens a wait-class span (recovery, retry-wait, shed-backoff)
@@ -312,33 +470,23 @@ impl StackCommon {
     /// request has no root yet, or a wait span is already open — the
     /// first cause of a stall wins.
     pub fn begin_wait(&mut self, request_id: u64, stage: Stage, now: SimTime) {
-        if !self.tracer.is_enabled() || self.wait_spans.contains_key(&request_id) {
+        if !self.tracer.is_enabled() {
             return;
         }
-        let root = self.root_span(request_id);
-        if !root.is_some() {
+        let Some(rec) = self.requests.get_mut(&request_id) else {
+            return;
+        };
+        let root = rec.root.unwrap_or(SpanId::NONE);
+        if rec.wait.is_some() || !root.is_some() {
             return;
         }
-        let id = self.tracer.begin(
+        rec.wait = self.tracer.begin(
             now,
             stage,
             Some(request_id),
             root,
             ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
         );
-        if id.is_some() {
-            self.wait_spans.insert(request_id, id);
-        }
-    }
-
-    /// Closes `request_id`'s open wait span (the stall resolved: a
-    /// retransmit arrived, the backlog replayed, the NACK landed).
-    fn end_wait(&mut self, request_id: u64, now: SimTime) {
-        if let Some(id) = self.wait_spans.remove(&request_id) {
-            self.tracer.end(id, now);
-            let at = self.wait_resolved.entry(request_id).or_insert(now);
-            *at = (*at).max(now);
-        }
     }
 
     /// The earliest honest start for a stage span that backdates to a
@@ -346,30 +494,8 @@ impl StackCommon {
     /// that resolved later pushes the start forward — the device was
     /// not working on the request while it was paused.
     pub fn arrival_span_start(&self, request_id: u64) -> SimTime {
-        let t0 = self
-            .times
-            .get(&request_id)
-            .map(|t| t.nic_arrival)
-            .unwrap_or(SimTime::ZERO);
-        match self.wait_resolved.get(&request_id) {
-            Some(&resolved) => t0.max(resolved),
-            None => t0,
-        }
-    }
-
-    /// Hands `request_id`'s finished span tree to the flight recorder
-    /// (retain-or-recycle) once its fate is settled. No-op unless the
-    /// recorder is armed.
-    fn settle_spans(&mut self, request_id: u64, at: SimTime) {
-        let Some(rec) = self.flightrec.as_mut() else {
-            return;
-        };
-        let latency_ps = self
-            .times
-            .get(&request_id)
-            .map(|t| at.since(t.nic_arrival).as_ps())
-            .unwrap_or(0);
-        rec.offer(request_id, latency_ps, at, &mut self.tracer);
+        self.request(request_id)
+            .map_or(SimTime::ZERO, |r| r.times.nic_arrival.max(r.wait_resolved))
     }
 
     /// Admission check for an arriving (checksum-valid) request frame.
@@ -384,7 +510,9 @@ impl StackCommon {
         // A frame for this id reached the gate again: whatever stall
         // the open wait span was timing is over.
         if self.tracer.is_enabled() {
-            self.end_wait(request_id, now);
+            if let Some(rec) = self.requests.get_mut(&request_id) {
+                rec.end_wait(&mut self.tracer, now);
+            }
         }
         let Some(window) = self.dedup.as_mut() else {
             return RxGate::Execute;
@@ -408,12 +536,17 @@ impl StackCommon {
     }
 
     /// The response for `request_id` reaches the client at `arrive`;
-    /// the driver does the warmup/metrics/closed-loop bookkeeping.
+    /// the record retires when it lands ([`Outcome::Completed`]). The
+    /// span tree settles now, in send order, which is the order the
+    /// flight recorder's p99 estimate observes.
     pub fn complete(&mut self, arrive: SimTime, request_id: u64) {
-        if let Some(id) = self.root_spans.remove(&request_id) {
-            self.end_wait(request_id, arrive);
-            self.tracer.end(id, arrive);
-            self.settle_spans(request_id, arrive);
+        if let Some(rec) = self.requests.get_mut(&request_id) {
+            rec.settle(
+                request_id,
+                arrive,
+                &mut self.tracer,
+                self.flightrec.as_mut(),
+            );
         }
         if let Some(window) = self.dedup.as_mut() {
             // `Done` → `Done` means the handler ran twice: the
@@ -430,53 +563,55 @@ impl StackCommon {
     /// faults. A corrupted response is counted lost: the client NIC's
     /// checksum rejects it.
     fn deliver_response(&mut self, arrive: SimTime, request_id: u64) {
-        let Some(inj) = self.rx_fault.as_mut() else {
-            self.client_q
-                .schedule(arrive, ClientEv::Response { request_id });
-            return;
+        let decision = match self.rx_fault.as_mut() {
+            Some(inj) => inj.decide_frame(REPLAY_FRAME_BYTES, 0),
+            None => FaultDecision::Deliver,
         };
-        match inj.decide_frame(REPLAY_FRAME_BYTES, 0) {
-            FaultDecision::Deliver => {
+        let at = match decision {
+            FaultDecision::Deliver => arrive,
+            FaultDecision::Delay { extra } => arrive + extra,
+            FaultDecision::Duplicate { gap } => {
                 self.client_q
                     .schedule(arrive, ClientEv::Response { request_id });
-            }
-            FaultDecision::Drop => {
-                self.metrics.faults.wire_rx_lost += 1;
+                arrive + gap
             }
             FaultDecision::Corrupt { .. } => {
                 self.metrics.faults.corrupted += 1;
                 self.metrics.faults.wire_rx_lost += 1;
+                return;
             }
-            FaultDecision::Duplicate { gap } => {
-                self.client_q
-                    .schedule(arrive, ClientEv::Response { request_id });
-                self.client_q
-                    .schedule(arrive + gap, ClientEv::Response { request_id });
+            FaultDecision::Drop => {
+                self.metrics.faults.wire_rx_lost += 1;
+                return;
             }
-            FaultDecision::Delay { extra } => {
-                self.client_q
-                    .schedule(arrive + extra, ClientEv::Response { request_id });
-            }
-        }
+        };
+        self.client_q
+            .schedule(at, ClientEv::Response { request_id });
     }
 
     /// `request_id` was dropped somewhere in the stack (no descriptor,
     /// queue overflow, lost frame…) at `at`. Without retransmission
-    /// this is terminal; with it, the request's fate belongs to the
-    /// client's retry timer — the wait is timed as a retry-wait span —
-    /// and the id is released from the dedup window so a retransmit
-    /// can execute.
+    /// this is terminal ([`Outcome::Dropped`]); with it, the request's
+    /// fate belongs to the client's retry timer — the wait is timed as
+    /// a retry-wait span — and the id is released from the dedup window
+    /// so a retransmit can execute.
     pub fn drop_request(&mut self, request_id: u64, at: SimTime) {
         if self.retry_active {
             self.begin_wait(request_id, Stage::RetryWait, at);
-            if let Some(window) = self.dedup.as_mut() {
-                if window.get(&request_id) == Some(&DedupEntry::InFlight) {
-                    window.remove(&request_id);
-                }
-            }
+            self.release_in_flight(request_id);
             return;
         }
-        self.abandon_request(request_id, at);
+        self.retire(request_id, Outcome::Dropped, at);
+    }
+
+    /// Releases an id whose execution never happened from the dedup
+    /// window, so a retransmit may run it.
+    fn release_in_flight(&mut self, request_id: u64) {
+        if let Some(window) = self.dedup.as_mut() {
+            if window.get(&request_id) == Some(&DedupEntry::InFlight) {
+                window.remove(&request_id);
+            }
+        }
     }
 
     /// `request_id` was refused by overload control (queue full, past
@@ -498,11 +633,7 @@ impl StackCommon {
             self.drop_request(request_id, now);
             return;
         }
-        if let Some(window) = self.dedup.as_mut() {
-            if window.get(&request_id) == Some(&DedupEntry::InFlight) {
-                window.remove(&request_id);
-            }
-        }
+        self.release_in_flight(request_id);
         let arrive = now + self.wire.deliver(NACK_FRAME_BYTES);
         if self.tracer.is_enabled() {
             // The NACK flight is the whole backoff the request pays
@@ -530,39 +661,88 @@ impl StackCommon {
         self.drop_request(request_id, at);
     }
 
-    /// Terminally abandons `request_id` at `at`: counted dropped,
-    /// bookkeeping reclaimed, spans closed at the moment the request's
-    /// fate was sealed. The driver calls this when the retry budget
-    /// runs out; stacks reach it through [`StackCommon::drop_request`].
-    pub(crate) fn abandon_request(&mut self, request_id: u64, at: SimTime) {
-        self.metrics.dropped += 1;
-        // The wait span is a leaf: closing it at the abandonment is
-        // always containment-safe.
-        self.end_wait(request_id, at);
-        if self.flightrec.is_some() {
-            // Recycle mode: the tree must leave the arena now or leak
-            // its slots. `take_request` clips any still-open child.
-            if let Some(id) = self.root_spans.remove(&request_id) {
-                self.tracer.end(id, at);
-                self.settle_spans(request_id, at);
+    /// The only way a request's record leaves: settles its `outcome` at
+    /// `at`, or returns false when it already retired (a stale timer,
+    /// NACK, or duplicate response). A completion feeds the latency
+    /// histograms, software cycles and tenant ledger (once warmed); any
+    /// other outcome counts a drop, closes the spans where the request's
+    /// fate was sealed and leaves the dedup window. All but a silent
+    /// [`Outcome::Dropped`] rearm the issuing closed-loop client.
+    pub(crate) fn retire(&mut self, request_id: u64, outcome: Outcome, at: SimTime) -> bool {
+        let Some(mut rec) = self.requests.remove(&request_id) else {
+            return false;
+        };
+        if outcome == Outcome::Completed {
+            self.metrics.completed += 1;
+            let warmed = self.metrics.completed > self.warmup;
+            let rtt = at.since(rec.times.sent);
+            if warmed {
+                self.metrics.rtt.record_duration(rtt);
+                self.metrics
+                    .end_system
+                    .record_duration(rec.times.end_system());
+                self.metrics.dispatch.record_duration(rec.times.dispatch());
+                self.metrics.sw_cycles += rec.sw_cycles;
+                self.metrics.measured += 1;
+            }
+            if let Some(ledger) = self
+                .tenants
+                .as_mut()
+                .map(|t| t.entry(rec.service).or_default())
+            {
+                ledger.completed += 1;
+                if warmed {
+                    ledger.rtt.record_duration(rtt);
+                }
             }
         } else {
-            // The root span (if any) stays open; the driver's
-            // end-of-run `tracer.finish` closes it as truncated —
-            // a child (a handler whose response was lost) may still
-            // be executing past `at`.
-            self.root_spans.remove(&request_id);
+            self.metrics.dropped += 1;
+            match outcome {
+                Outcome::RetriesExhausted => self.metrics.faults.retries_exhausted += 1,
+                Outcome::Timeout => self.metrics.faults.timeouts += 1,
+                _ => {}
+            }
+            if let Some(window) = self.dedup.as_mut() {
+                window.remove(&request_id);
+            }
+            // The wait span is a leaf: closing it at the abandonment
+            // is always containment-safe.
+            rec.end_wait(&mut self.tracer, at);
+            if let Some(flightrec) = self.flightrec.as_mut() {
+                // Recycle mode: the tree must leave the arena now or
+                // leak its slots. `take_request` clips any open child.
+                rec.settle(request_id, at, &mut self.tracer, Some(flightrec));
+            }
+            // Without the recorder the root span (if any) stays open;
+            // the driver's end-of-run `tracer.finish` closes it as
+            // truncated — a child (a handler whose response was lost)
+            // may still be executing past `at`.
         }
-        self.times.remove(&request_id);
-        self.sw_cycles_by_req.remove(&request_id);
+        if outcome != Outcome::Dropped {
+            if let Some(think) = self.think.filter(|&t| at + t <= self.end_of_load) {
+                self.client_q
+                    .schedule(at + think, ClientEv::Gen { client: rec.client });
+            }
+        }
+        true
     }
 
-    /// Releases `request_id` from the dedup window (crash recovery:
-    /// the execution was lost, a retransmit must be allowed to run).
-    pub fn dedup_forget(&mut self, request_id: u64) {
-        if let Some(window) = self.dedup.as_mut() {
-            window.remove(&request_id);
+    /// The critical-path blame profile of this run: over the full span
+    /// buffer normally, over the retained outlier trees when the flight
+    /// recorder recycled the rest.
+    pub(crate) fn blame_profile(&mut self) -> BlameProfile {
+        if let Some(rec) = self.flightrec.as_ref() {
+            let paths: Vec<_> = rec.trees().flat_map(|t| critical_paths(&t.spans)).collect();
+            return BlameProfile::build(&paths, |rid| {
+                rec.trees().find(|t| t.request_id == rid).map(|t| t.service)
+            });
         }
+        self.traced_services.sort_unstable();
+        let services = &self.traced_services;
+        BlameProfile::build(&critical_paths(self.tracer.spans()), |rid| {
+            let i = services.binary_search_by_key(&rid, |&(r, _)| r).ok()?;
+            services.get(i).map(|&(_, service)| service)
+        })
     }
 }
 

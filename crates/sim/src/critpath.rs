@@ -317,14 +317,15 @@ pub struct BlameProfile {
 }
 
 impl BlameProfile {
-    /// Builds a profile from extracted paths; `service_of` maps request
-    /// ids to their target service (PR 5's overload ledger dimension).
-    pub fn build(paths: &[CritPath], service_of: &BTreeMap<u64, u16>) -> BlameProfile {
+    /// Builds a profile from extracted paths; `service_of` names a
+    /// request's target service when known (PR 5's overload ledger
+    /// dimension).
+    pub fn build(paths: &[CritPath], service_of: impl Fn(u64) -> Option<u16>) -> BlameProfile {
         let mut prof = BlameProfile::default();
         for path in paths {
             prof.requests += 1;
             prof.total_ps += path.total_ps();
-            let svc = service_of.get(&path.request_id).copied();
+            let svc = service_of(path.request_id);
             for seg in &path.segments {
                 let d = seg.dur_ps();
                 if let Some(slot) = prof.by_class_ps.get_mut(seg.class.idx()) {
@@ -552,7 +553,7 @@ mod tests {
         let paths = critical_paths(tr.spans());
         let mut services = BTreeMap::new();
         services.insert(7u64, 2u16);
-        let prof = BlameProfile::build(&paths, &services);
+        let prof = BlameProfile::build(&paths, |rid| services.get(&rid).copied());
         assert_eq!(prof.requests, 2);
         assert_eq!(prof.total_ps, 800_000);
         assert_eq!(prof.by_class_ps[BlameClass::Recovery.idx()], 400_000);
@@ -571,7 +572,7 @@ mod tests {
         let root = tr.begin(t(0), Stage::Request, Some(1), SpanId::NONE, 1000);
         tr.span(Stage::Handler, Some(1), root, 0, t(0), t(750));
         tr.end(root, t(1000));
-        let prof = BlameProfile::build(&critical_paths(tr.spans()), &BTreeMap::new());
+        let prof = BlameProfile::build(&critical_paths(tr.spans()), |_| None);
         let pm = prof.class_permille();
         assert_eq!(pm[BlameClass::Service.idx()], 750);
         assert_eq!(pm[BlameClass::Queueing.idx()], 250);
@@ -592,7 +593,9 @@ mod tests {
             let mut services = BTreeMap::new();
             services.insert(1u64, 3u16);
             services.insert(2u64, 5u16);
-            BlameProfile::build(&critical_paths(tr.spans()), &services)
+            BlameProfile::build(&critical_paths(tr.spans()), |rid| {
+                services.get(&rid).copied()
+            })
         };
         let quiet = build(0);
         let contended = build(500);

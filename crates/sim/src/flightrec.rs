@@ -204,6 +204,9 @@ impl P2Quantile {
 pub struct SpanTree {
     /// The request the tree belongs to.
     pub request_id: u64,
+    /// The request's target service, for the blame profile's
+    /// per-service split once the request's own record is gone.
+    pub service: u16,
     /// Measured end-to-end latency in picoseconds.
     pub latency_ps: u64,
     /// The spans, parents before children.
@@ -240,11 +243,18 @@ impl FlightRecorder {
         }
     }
 
-    /// Offers a completed request: its latency feeds the p99 estimate,
-    /// and its tree is either harvested into the ring (tail crossing,
-    /// or warmup) or recycled back into the tracer's arena. Returns
-    /// true when the tree was retained.
-    pub fn offer(&mut self, rid: u64, latency_ps: u64, at: SimTime, tr: &mut SpanTracer) -> bool {
+    /// Offers a completed request to `service`: its latency feeds the
+    /// p99 estimate, and its tree is either harvested into the ring
+    /// (tail crossing, or warmup) or recycled back into the tracer's
+    /// arena. Returns true when the tree was retained.
+    pub fn offer(
+        &mut self,
+        rid: u64,
+        service: u16,
+        latency_ps: u64,
+        at: SimTime,
+        tr: &mut SpanTracer,
+    ) -> bool {
         self.seen += 1;
         let est = self.p99.estimate();
         self.p99.observe(latency_ps as f64);
@@ -261,6 +271,7 @@ impl FlightRecorder {
         self.retained += 1;
         self.ring.push_back(SpanTree {
             request_id: rid,
+            service,
             latency_ps,
             spans,
         });
@@ -359,7 +370,7 @@ mod tests {
             let root = tr.begin(start, Stage::Request, Some(rid), SpanId::NONE, 1000);
             tr.span(Stage::Handler, Some(rid), root, 0, start, end);
             tr.end(root, end);
-            rec.offer(rid, lat_ns * 1000, end, &mut tr);
+            rec.offer(rid, 0, lat_ns * 1000, end, &mut tr);
         }
         assert_eq!(rec.seen(), 1000);
         // Post-warmup, only the 50 us spikes should be retained.
@@ -381,7 +392,7 @@ mod tests {
         for rid in 0..5u64 {
             let root = tr.begin(t(rid), Stage::Request, Some(rid), SpanId::NONE, 1000);
             tr.end(root, t(rid + 1));
-            rec.offer(rid, 1000, t(rid + 1), &mut tr);
+            rec.offer(rid, 0, 1000, t(rid + 1), &mut tr);
         }
         // Warmup retains everything; the ring keeps the newest two.
         assert_eq!(rec.retained(), 5);

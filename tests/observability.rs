@@ -13,6 +13,9 @@
 //!    every request's end-to-end latency into contiguous per-stage
 //!    segments whose durations sum back EXACTLY (integer picoseconds,
 //!    no residue) — on every stack, under faults and under overload.
+//! 4. **One record, one exit** (DESIGN.md §18): after a run, live
+//!    request records = offered − completed − dropped, and per-service
+//!    blame attribution stays within the tracer's span/tree bounds.
 
 use lauberhorn::prelude::*;
 use lauberhorn::rpc::{driver, RetryPolicy};
@@ -266,6 +269,174 @@ fn span_cap_sheds_load_without_breaking_balance() {
             report.digest(),
             digest(stack, &base),
             "{}: capped tracing perturbed the report",
+            stack.name()
+        );
+    }
+}
+
+/// The request-lifecycle matrix: clean, lossy, overloaded (with and
+/// without pushback, and without any retry policy), tenant storm, NIC
+/// reset, and process crash. Each entry is `(label, workload, services,
+/// cores)`; load windows are stretched `scale`× at the same rates.
+fn lifecycle_scenarios(scale: u64) -> Vec<(&'static str, WorkloadSpec, Vec<ServiceSpec>, usize)> {
+    use lauberhorn::experiments::{nicfail, overload, tenant};
+    use lauberhorn::sim::fault::{CrashSpec, NicFaultKind};
+    use lauberhorn::sim::OverloadConfig;
+    let ms = 3 * scale;
+    let loss = WorkloadSpec::open_poisson(150_000.0, 2, 0.0, SizeDist::Fixed { bytes: 64 }, ms, 13)
+        .with_faults(FaultPlan::wire_loss(0.01))
+        .with_retry(RetryPolicy::same_rack());
+    // Over twice every stack's calibrated capacity on two cores with
+    // 10 000-cycle handlers (at most ~530 k rps, bypass on the PC).
+    const OVERLOAD_RPS: f64 = 1_200_000.0;
+    let shed = |cfg| overload::workload_for(OVERLOAD_RPS, cfg, 21, ms);
+    let mut crash_plan = FaultPlan::wire_loss(0.01);
+    crash_plan.crash = Some(CrashSpec {
+        at: SimDuration::from_ms(ms / 2),
+        service: 0,
+    });
+    let crash = WorkloadSpec::open_poisson(80_000.0, 2, 0.9, SizeDist::Fixed { bytes: 64 }, ms, 42)
+        .with_faults(crash_plan)
+        .with_retry(RetryPolicy::same_rack());
+    vec![
+        (
+            "clean",
+            WorkloadSpec::echo_closed(64, ms, 11),
+            ServiceSpec::uniform(1, 1000, 32),
+            4,
+        ),
+        ("loss", loss, ServiceSpec::uniform(2, 1000, 32), 4),
+        (
+            "shed+pushback",
+            shed(overload::shed_config()),
+            overload::services(),
+            2,
+        ),
+        (
+            "shed",
+            shed(overload::fairness_config()),
+            overload::services(),
+            2,
+        ),
+        // No retry policy: every shed is a terminal stack drop.
+        (
+            "shed, no retry",
+            WorkloadSpec::open_poisson(OVERLOAD_RPS, 2, 0.0, SizeDist::Fixed { bytes: 64 }, ms, 3)
+                .with_overload(
+                    OverloadConfig::drop_tail(8).with_deadline(SimDuration::from_us(50)),
+                ),
+            overload::services(),
+            2,
+        ),
+        (
+            "storm",
+            tenant::workload(10.0, true, 300_000.0, 7, ms),
+            tenant::services(),
+            4,
+        ),
+        (
+            "nic-reset",
+            nicfail::workload_for(400_000.0, Some(NicFaultKind::Reset), 11, ms),
+            nicfail::services(),
+            4,
+        ),
+        ("crash", crash, ServiceSpec::uniform(2, 1000, 32), 4),
+    ]
+}
+
+/// Runs one lifecycle case and checks the single-exit invariant: every
+/// request the driver offered is either settled (completed or dropped)
+/// or still holds exactly one live record, and the per-service blame
+/// attribution stays within the tracer's own bounds. Returns the
+/// attribution size.
+fn check_lifecycle(
+    stack: StackKind,
+    label: &str,
+    wl: &WorkloadSpec,
+    svcs: &[ServiceSpec],
+    cores: usize,
+) -> usize {
+    let mut s = Experiment::new(stack)
+        .cores(cores)
+        .services(svcs.to_vec())
+        .build();
+    let r = driver::run(&mut *s, wl);
+    let common = s.common();
+    let case = format!("{} ({label}, {:?})", stack.name(), wl.observe);
+    assert!(r.offered > 0, "{case}: nothing offered");
+    assert_eq!(
+        common.live_requests() as u64,
+        r.offered - r.completed - r.dropped,
+        "{case}: live records != offered - completed - dropped"
+    );
+    let attributed = common.attributed_requests();
+    let obs = &wl.observe;
+    if !obs.spans {
+        assert_eq!(attributed, 0, "{case}: attribution without tracing");
+    } else if obs.flightrec {
+        assert!(attributed <= obs.flight_cap, "{case}: {attributed} trees");
+    } else {
+        let roots = common
+            .tracer
+            .spans()
+            .iter()
+            .filter(|sp| sp.stage == lauberhorn::sim::Stage::Request)
+            .count();
+        assert!(
+            attributed <= obs.span_cap,
+            "{case}: {attributed} attributions"
+        );
+        assert_eq!(
+            attributed, roots,
+            "{case}: one attribution per recorded root"
+        );
+    }
+    attributed
+}
+
+#[test]
+fn every_request_record_retires_through_one_exit() {
+    for (label, wl, svcs, cores) in lifecycle_scenarios(1) {
+        for stack in StackKind::all() {
+            for observe in [
+                ObserveSpec::none(),
+                ObserveSpec::full(),
+                ObserveSpec::flight(64),
+            ] {
+                let wl = wl.clone().with_observe(observe);
+                check_lifecycle(stack, label, &wl, &svcs, cores);
+            }
+        }
+    }
+}
+
+#[test]
+fn flight_recorder_attribution_does_not_grow_with_run_length() {
+    // The storm case at 1x and 4x its load window: the flight recorder
+    // keeps at most `flight_cap` attributed trees however long it runs.
+    let storm = |scale| {
+        lifecycle_scenarios(scale)
+            .into_iter()
+            .find(|(label, ..)| *label == "storm")
+            .expect("storm scenario")
+    };
+    for stack in [
+        StackKind::LauberhornEnzian,
+        StackKind::BypassModern,
+        StackKind::KernelModern,
+    ] {
+        let sizes: Vec<usize> = [1, 4]
+            .map(|scale| {
+                let (label, wl, svcs, cores) = storm(scale);
+                let wl = wl.with_observe(ObserveSpec::flight(64));
+                check_lifecycle(stack, label, &wl, &svcs, cores)
+            })
+            .to_vec();
+        assert_eq!(sizes[0], 64, "{}: ring never filled", stack.name());
+        assert_eq!(
+            sizes[1],
+            sizes[0],
+            "{}: attribution grew with run length",
             stack.name()
         );
     }
