@@ -90,9 +90,9 @@ fn bench_dispatch_line() {
         args: vec![0x11; 64],
     };
     bench("dispatch/encode_64B", || line.encode(black_box(128)));
-    let (ctrl, aux) = line.encode(128).unwrap();
+    let ctrl = line.encode(128).unwrap();
     bench("dispatch/decode_64B", || {
-        DispatchLine::decode(black_box(&ctrl), black_box(&aux))
+        DispatchLine::decode(black_box(&ctrl), black_box(&[]))
     });
 }
 

@@ -4,7 +4,7 @@
 //! `lauberhorn-bench/v1` schema before writing, so a malformed artifact
 //! can never land on disk; CI re-runs the same check on the files.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use lauberhorn_rpc::Report;
 
@@ -175,22 +175,20 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Workspace root (the directory holding the top-level `Cargo.toml`),
-/// as seen from this crate.
-pub fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .map(Path::to_path_buf)
-        .unwrap_or(manifest)
+/// Where `BENCH_*.json` and `PROFILE_*.trace.json` artifacts are
+/// written and read: the current directory. (Run the bins from the
+/// repository root to refresh the committed artifacts.) A binary run
+/// from a copy of the tree touches that copy, never the checkout it
+/// was built from.
+pub fn out_dir() -> PathBuf {
+    std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))
 }
 
-/// Validates `doc` and writes it as `BENCH_<experiment>.json` at the
-/// workspace root. Returns the path written.
+/// Validates `doc` and writes it as `BENCH_<experiment>.json` in
+/// [`out_dir`]. Returns the path written.
 pub fn write(experiment: &str, doc: &Json) -> Result<PathBuf, String> {
     validate(doc)?;
-    let path = workspace_root().join(format!("BENCH_{experiment}.json"));
+    let path = out_dir().join(format!("BENCH_{experiment}.json"));
     std::fs::write(&path, doc.render()).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)
 }

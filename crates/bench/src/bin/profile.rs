@@ -8,7 +8,7 @@
 //! For each stack this prints the ASCII per-stage latency table
 //! (Figure 1 / Figure 3 step decomposition, measured from spans) and
 //! the component metrics registry, then writes a Chrome-trace JSON to
-//! `PROFILE_<stack>.trace.json` at the workspace root — load it in
+//! `PROFILE_<stack>.trace.json` in the current directory — load it in
 //! `chrome://tracing` or Perfetto to see every request laid out on
 //! core, NIC, and per-request tracks.
 //!
@@ -88,7 +88,7 @@ fn main() {
         print!("{}", observed.metrics.render());
         rows.push(BenchRow::from_report(0.0, &observed));
 
-        let path = artifact::workspace_root().join(format!("PROFILE_{slug}.trace.json"));
+        let path = artifact::out_dir().join(format!("PROFILE_{slug}.trace.json"));
         match std::fs::write(&path, chrome_trace(&observed.stack, spans)) {
             Ok(()) => println!("chrome trace -> {}", path.display()),
             Err(e) => {

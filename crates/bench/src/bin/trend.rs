@@ -5,7 +5,7 @@
 //! cargo run --release -p lauberhorn-bench --bin trend -- --write-baselines
 //! ```
 //!
-//! Scans the workspace root for schema-valid `lauberhorn-bench/v1`
+//! Scans the current directory for schema-valid `lauberhorn-bench/v1`
 //! artifacts, compares each against its committed baseline under
 //! `crates/bench/baselines/trend/`, and writes the deterministic
 //! `BENCH_trend.json` (schema `lauberhorn-trend/v1`). Exits non-zero
@@ -28,7 +28,7 @@ const WALL_CLOCK_EXPERIMENTS: &[&str] = &["engine"];
 
 fn main() {
     let write_baselines = std::env::args().skip(1).any(|a| a == "--write-baselines");
-    let root = artifact::workspace_root();
+    let root = artifact::out_dir();
     let mut names: Vec<String> = match std::fs::read_dir(&root) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())

@@ -35,6 +35,6 @@ pub mod stats;
 pub mod system;
 
 pub use fabric::{FabricKind, FabricModel};
-pub use line::{CacheId, LineAddr, LineState};
+pub use line::{CacheId, LineAddr, LineData, LineState, MAX_LINE_SIZE};
 pub use stats::CoherenceStats;
 pub use system::{CoherentSystem, FillToken, LoadResult, StoreResult};

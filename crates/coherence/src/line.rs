@@ -38,6 +38,53 @@ impl LineAddr {
     }
 }
 
+/// Largest cache line any modelled fabric carries (ECI's 128 B).
+pub const MAX_LINE_SIZE: usize = 128;
+
+/// The contents of one cache line, held by value.
+///
+/// A fixed-size `Copy` buffer of up to [`MAX_LINE_SIZE`] bytes, so a
+/// line's payload (a dispatch line, an AUX line, a collected response)
+/// moves between the NIC model and the coherence fabric without a
+/// heap allocation. Dereferences to its `len()` valid bytes; the bytes
+/// past `len()` are always zero, so equality is plain byte equality.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LineData {
+    bytes: [u8; MAX_LINE_SIZE],
+    len: u8,
+}
+
+impl LineData {
+    /// An all-zero line of `len` bytes (clamped to [`MAX_LINE_SIZE`]).
+    pub fn zeroed(len: usize) -> Self {
+        debug_assert!(len <= MAX_LINE_SIZE, "{len}-byte line exceeds the maximum");
+        LineData {
+            bytes: [0; MAX_LINE_SIZE],
+            len: len.min(MAX_LINE_SIZE) as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for LineData {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes.get(..self.len as usize).unwrap_or(&[])
+    }
+}
+
+impl std::ops::DerefMut for LineData {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.bytes.get_mut(..self.len as usize).unwrap_or(&mut [])
+    }
+}
+
+impl std::fmt::Debug for LineData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// MESI state of a line in one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LineState {
@@ -67,6 +114,22 @@ impl LineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn line_data_is_its_first_len_bytes() {
+        let mut line = LineData::zeroed(64);
+        assert_eq!(line.len(), 64);
+        line[..3].copy_from_slice(b"abc");
+        assert_eq!(&line[..4], b"abc\0");
+        // Bytes past the length stay zero, so equal contents compare
+        // equal however the lines were written.
+        let mut other = LineData::zeroed(64);
+        other[..4].copy_from_slice(b"abc\0");
+        assert_eq!(line, other);
+        assert_ne!(line, LineData::zeroed(64));
+        assert_eq!(LineData::zeroed(MAX_LINE_SIZE).len(), MAX_LINE_SIZE);
+        assert!(LineData::zeroed(0).is_empty());
+    }
 
     #[test]
     fn alignment_enforced() {

@@ -24,7 +24,7 @@ use std::collections::{BTreeSet, HashMap};
 use lauberhorn_sim::SimDuration;
 
 use crate::fabric::FabricModel;
-use crate::line::{CacheId, LineAddr, LineState};
+use crate::line::{CacheId, LineAddr, LineData, LineState, MAX_LINE_SIZE};
 use crate::stats::CoherenceStats;
 
 /// Token identifying a parked (deferred) device fill.
@@ -125,18 +125,34 @@ impl std::fmt::Display for CoherenceError {
 
 impl std::error::Error for CoherenceError {}
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DirEntry {
     owner: Option<CacheId>,
     dirty: bool,
     sharers: BTreeSet<CacheId>,
-    data: Vec<u8>,
+    /// Boxed: the directory holds one entry per line ever touched and
+    /// grows by doubling, so a line stored inline would multiply the
+    /// table (and its transient copy while it grows) by its size.
+    data: Box<LineData>,
+}
+
+impl DirEntry {
+    /// Overwrites the first `bytes.len()` bytes of the canonical copy
+    /// (callers check `bytes.len() <= line_size` first).
+    fn write_prefix(&mut self, bytes: &[u8]) {
+        if let Some(dst) = self.data.get_mut(..bytes.len()) {
+            dst.copy_from_slice(bytes);
+        }
+    }
 }
 
 #[derive(Debug)]
 struct PendingFill {
     cache: CacheId,
     addr: LineAddr,
+    /// The device's answer, staged by [`CoherentSystem::stage_fill`]
+    /// until [`CoherentSystem::complete_staged_fill`] delivers it.
+    staged: Option<LineData>,
 }
 
 /// One coherence domain: cores, DRAM home, device home.
@@ -198,7 +214,7 @@ impl CoherentSystem {
         device_limit: u64,
     ) -> Self {
         // lint:allow(panic-path): construction-time address-map validation
-        assert!(device_base < device_limit);
+        assert!(device_base < device_limit && device_fabric.line_size <= MAX_LINE_SIZE);
         CoherentSystem {
             line_size: device_fabric.line_size,
             num_caches,
@@ -247,8 +263,10 @@ impl CoherentSystem {
     fn entry(&mut self, addr: LineAddr) -> &mut DirEntry {
         let line_size = self.line_size;
         self.dirs.entry(addr).or_insert_with(|| DirEntry {
-            data: vec![0; line_size],
-            ..Default::default()
+            owner: None,
+            dirty: false,
+            sharers: BTreeSet::new(),
+            data: Box::new(LineData::zeroed(line_size)),
         })
     }
 
@@ -282,7 +300,7 @@ impl CoherentSystem {
             let e = self.entry(addr);
             return Ok(LoadResult::Hit {
                 latency: l1,
-                data: e.data.clone(),
+                data: e.data.to_vec(),
             });
         }
         if self.is_device_line(addr) {
@@ -290,7 +308,14 @@ impl CoherentSystem {
             self.stats.deferred_fills += 1;
             let token = FillToken(self.next_token);
             self.next_token += 1;
-            self.pending.insert(token, PendingFill { cache, addr });
+            self.pending.insert(
+                token,
+                PendingFill {
+                    cache,
+                    addr,
+                    staged: None,
+                },
+            );
             return Ok(LoadResult::Deferred {
                 token,
                 request_arrival: self.device_fabric.req_lat,
@@ -323,7 +348,7 @@ impl CoherentSystem {
             } else {
                 e.sharers.insert(cache);
             }
-            data = e.data.clone();
+            data = e.data.to_vec();
         }
         if recalled {
             self.stats.recalls += 1;
@@ -362,8 +387,7 @@ impl CoherentSystem {
                 self.stats.store_hits += 1;
                 let e = self.entry(addr);
                 e.dirty = true;
-                // lint:allow(unchecked-index): len <= line_size checked at entry
-                e.data[..bytes.len()].copy_from_slice(bytes);
+                e.write_prefix(bytes);
                 Ok(StoreResult::Hit { latency: l1 })
             }
             LineState::Shared => {
@@ -380,8 +404,7 @@ impl CoherentSystem {
                     e.sharers.clear();
                     e.owner = Some(cache);
                     e.dirty = true;
-                    // lint:allow(unchecked-index): len <= line_size checked at entry
-                    e.data[..bytes.len()].copy_from_slice(bytes);
+                    e.write_prefix(bytes);
                 }
                 self.stats.upgrades += 1;
                 self.stats.invalidations += others;
@@ -412,8 +435,7 @@ impl CoherentSystem {
                     e.sharers.clear();
                     e.owner = Some(cache);
                     e.dirty = true;
-                    // lint:allow(unchecked-index): len <= line_size checked at entry
-                    e.data[..bytes.len()].copy_from_slice(bytes);
+                    e.write_prefix(bytes);
                 }
                 if recalled {
                     self.stats.recalls += 1;
@@ -436,7 +458,7 @@ impl CoherentSystem {
         token: FillToken,
         data: &[u8],
     ) -> Result<(CacheId, LineAddr, SimDuration), CoherenceError> {
-        let PendingFill { cache, addr } = self
+        let PendingFill { cache, addr, .. } = self
             .pending
             .remove(&token)
             .ok_or(CoherenceError::BadToken(token))?;
@@ -464,13 +486,8 @@ impl CoherentSystem {
             e.sharers.clear();
             e.owner = Some(cache);
             e.dirty = false;
-            // lint:allow(unchecked-index): len <= line_size checked at entry
-            e.data[..data.len()].copy_from_slice(data);
-            if data.len() < line_size {
-                let len = data.len();
-                // lint:allow(unchecked-index): len < line_size inside this branch
-                e.data[len..].fill(0);
-            }
+            *e.data = LineData::zeroed(line_size);
+            e.write_prefix(data);
         }
         if invals > 0 {
             latency += device_fabric.req_lat;
@@ -478,6 +495,43 @@ impl CoherentSystem {
         self.stats.deferred_completions += 1;
         self.stats.invalidations += invals;
         Ok((cache, addr, latency + self.l1_latency))
+    }
+
+    /// The device decides how to answer a parked fill: `data` is held
+    /// on the pending fill until [`CoherentSystem::complete_staged_fill`]
+    /// delivers it. The decision and the delivery are separate events in
+    /// a machine simulation (the answer crosses the fabric in between),
+    /// and staging keeps the line's bytes out of the event in flight.
+    ///
+    /// Staging an unknown or already-completed token is a no-op: the
+    /// completion reports it as [`CoherenceError::BadToken`].
+    pub fn stage_fill(&mut self, token: FillToken, data: LineData) {
+        if let Some(p) = self.pending.get_mut(&token) {
+            p.staged = Some(data);
+        }
+    }
+
+    /// Completes a fill with the line staged for it by
+    /// [`CoherentSystem::stage_fill`] (see
+    /// [`CoherentSystem::complete_fill`]). The core reads the delivered
+    /// bytes back with [`CoherentSystem::line_data`].
+    pub fn complete_staged_fill(
+        &mut self,
+        token: FillToken,
+    ) -> Result<(CacheId, LineAddr, SimDuration), CoherenceError> {
+        let data = self
+            .pending
+            .get(&token)
+            .and_then(|p| p.staged)
+            .ok_or(CoherenceError::BadToken(token))?;
+        self.complete_fill(token, &data)
+    }
+
+    /// The canonical contents of `addr` (all zero if never written).
+    pub fn line_data(&self, addr: LineAddr) -> LineData {
+        self.dirs
+            .get(&addr)
+            .map_or(LineData::zeroed(self.line_size), |e| *e.data)
     }
 
     /// Number of fills currently parked at the device.
@@ -502,13 +556,14 @@ impl CoherentSystem {
     /// before transmitting it).
     ///
     /// Returns the line data and the round-trip latency.
-    pub fn device_fetch_exclusive(&mut self, addr: LineAddr) -> (Vec<u8>, SimDuration) {
+    pub fn device_fetch_exclusive(&mut self, addr: LineAddr) -> (LineData, SimDuration) {
         let device_fabric = self.device_fabric;
         let e = self.entry(addr);
         let had_copy = e.owner.is_some() || !e.sharers.is_empty();
         e.owner = None;
         e.dirty = false;
         e.sharers.clear();
+        let data = *e.data;
         self.stats.device_fetch_excl += 1;
         let latency = if had_copy {
             // Invalidate+recall round trip to the owning core.
@@ -517,11 +572,6 @@ impl CoherentSystem {
             // Nothing cached: local to the device.
             SimDuration::from_ns(5)
         };
-        let data = self
-            .dirs
-            .get(&addr)
-            .map(|e| e.data.clone())
-            .unwrap_or_default();
         (data, latency)
     }
 
@@ -558,15 +608,14 @@ impl CoherentSystem {
         e.owner = None;
         e.dirty = false;
         e.sharers.clear();
-        // lint:allow(unchecked-index): bytes clamped to line_size above
-        e.data[..bytes.len()].copy_from_slice(bytes);
+        e.write_prefix(bytes);
         self.stats.invalidations += invals;
         invals
     }
 
     /// Direct device read of the canonical copy (DMA read).
     pub fn dma_read(&mut self, addr: LineAddr) -> Vec<u8> {
-        self.entry(addr).data.clone()
+        self.entry(addr).data.to_vec()
     }
 }
 
@@ -593,6 +642,32 @@ mod tests {
 
     fn dev_line(n: u64) -> LineAddr {
         LineAddr(DEV_BASE + n * 128)
+    }
+
+    #[test]
+    fn staged_fill_is_what_the_core_reads() {
+        let mut s = system(1);
+        let a = dev_line(3);
+        let LoadResult::Deferred { token, .. } = s.load(CacheId(0), a).unwrap() else {
+            panic!("device line defers")
+        };
+        let mut line = LineData::zeroed(128);
+        line[..8].copy_from_slice(b"dispatch");
+        s.stage_fill(token, line);
+        // Staging alone delivers nothing.
+        assert_eq!(s.pending_fills(), 1);
+        assert_eq!(s.state_of(CacheId(0), a), LineState::Invalid);
+        let (cache, addr, _) = s.complete_staged_fill(token).unwrap();
+        assert_eq!((cache, addr), (CacheId(0), a));
+        assert_eq!(s.line_data(a), line);
+        assert_eq!(s.state_of(CacheId(0), a), LineState::Exclusive);
+        // A duplicate completion (and staging a spent token) is refused.
+        s.stage_fill(token, LineData::zeroed(128));
+        assert_eq!(
+            s.complete_staged_fill(token),
+            Err(CoherenceError::BadToken(token))
+        );
+        assert_eq!(s.line_data(a), line);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! past the DMA threshold arrive via the fallback path and the line
 //! carries a buffer descriptor instead.
 
+use lauberhorn_coherence::{LineData, MAX_LINE_SIZE};
 use lauberhorn_packet::{PacketError, Result};
 
 use crate::bytes;
@@ -78,8 +79,8 @@ impl DispatchKind {
 ///     kind: DispatchKind::Rpc,
 ///     args: vec![1, 2, 3],
 /// };
-/// let (ctrl, aux) = line.encode(128).unwrap();
-/// assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap(), line);
+/// let ctrl = line.encode(128).unwrap();
+/// assert_eq!(DispatchLine::decode(&ctrl, &[]).unwrap(), line);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchLine {
@@ -165,12 +166,10 @@ impl DispatchLine {
             .div_ceil(line_size)
     }
 
-    /// Encodes into the first CONTROL line plus AUX lines of
-    /// `line_size` bytes each.
-    ///
-    /// Returns `(control_line, aux_lines)`.
-    pub fn encode(&self, line_size: usize) -> Result<(Vec<u8>, Vec<Vec<u8>>)> {
-        let inline_cap = Self::inline_capacity(line_size);
+    /// Encodes the first CONTROL line of `line_size` bytes: the header
+    /// and as many argument bytes as fit inline. The rest of the
+    /// arguments continue in the AUX lines of [`DispatchLine::aux_line`].
+    pub fn encode(&self, line_size: usize) -> Result<LineData> {
         let n_aux = Self::aux_lines_needed(self.args.len(), line_size);
         if n_aux > u8::MAX as usize {
             return Err(PacketError::BadField {
@@ -191,7 +190,13 @@ impl DispatchLine {
                 have: line_size,
             });
         }
-        let mut ctrl = vec![0u8; line_size];
+        if line_size > MAX_LINE_SIZE {
+            return Err(PacketError::BadField {
+                layer: "dispatch",
+                field: "line_size",
+            });
+        }
+        let mut ctrl = LineData::zeroed(line_size);
         bytes::put(&mut ctrl, 0, &self.code_ptr.to_le_bytes());
         bytes::put(&mut ctrl, 8, &self.data_ptr.to_le_bytes());
         bytes::put(&mut ctrl, 16, &self.request_id.to_le_bytes());
@@ -200,27 +205,31 @@ impl DispatchLine {
         bytes::set(&mut ctrl, 28, self.kind.to_u8());
         bytes::set(&mut ctrl, 29, n_aux as u8);
         bytes::put(&mut ctrl, 30, &(self.args.len() as u16).to_be_bytes());
-        let inline = self.args.len().min(inline_cap);
+        let inline = self.args.len().min(Self::inline_capacity(line_size));
         bytes::put(
             &mut ctrl,
             DISPATCH_HEADER_LEN,
             bytes::slice(&self.args, 0, inline),
         );
-        let mut aux = Vec::with_capacity(n_aux);
-        let mut off = inline;
-        while off < self.args.len() {
-            let take = (self.args.len() - off).min(line_size);
-            let mut line = vec![0u8; line_size];
-            bytes::put(&mut line, 0, bytes::slice(&self.args, off, take));
-            aux.push(line);
-            off += take;
+        Ok(ctrl)
+    }
+
+    /// AUX line `j` for argument bytes `args`: the `line_size` bytes
+    /// that follow the inline part and the `j` AUX lines before it,
+    /// zero-padded. `None` past the last AUX line the arguments need.
+    pub fn aux_line(args: &[u8], j: usize, line_size: usize) -> Option<LineData> {
+        if j >= Self::aux_lines_needed(args.len(), line_size) || line_size > MAX_LINE_SIZE {
+            return None;
         }
-        debug_assert_eq!(aux.len(), n_aux);
-        Ok((ctrl, aux))
+        let off = Self::inline_capacity(line_size) + j * line_size;
+        let take = (args.len() - off).min(line_size);
+        let mut line = LineData::zeroed(line_size);
+        bytes::put(&mut line, 0, bytes::slice(args, off, take));
+        Some(line)
     }
 
     /// Decodes from a CONTROL line and its AUX lines.
-    pub fn decode(ctrl: &[u8], aux: &[Vec<u8>]) -> Result<Self> {
+    pub fn decode(ctrl: &[u8], aux: &[LineData]) -> Result<Self> {
         if ctrl.len() < DISPATCH_HEADER_LEN {
             return Err(PacketError::Truncated {
                 layer: "dispatch",
@@ -279,6 +288,14 @@ impl DispatchLine {
 mod tests {
     use super::*;
 
+    fn encode(d: &DispatchLine, line_size: usize) -> Result<(LineData, Vec<LineData>)> {
+        let ctrl = d.encode(line_size)?;
+        let aux = (0..)
+            .map_while(|j| DispatchLine::aux_line(&d.args, j, line_size))
+            .collect();
+        Ok((ctrl, aux))
+    }
+
     fn sample(args: Vec<u8>) -> DispatchLine {
         DispatchLine {
             code_ptr: 0x7fff_0000_1000,
@@ -294,7 +311,7 @@ mod tests {
     #[test]
     fn small_args_fit_inline_128() {
         let d = sample(vec![0xAB; 64]);
-        let (ctrl, aux) = d.encode(128).unwrap();
+        let (ctrl, aux) = encode(&d, 128).unwrap();
         assert_eq!(ctrl.len(), 128);
         assert!(aux.is_empty());
         assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap(), d);
@@ -304,7 +321,7 @@ mod tests {
     fn boundary_exactly_fills_inline() {
         let cap = DispatchLine::inline_capacity(128);
         let d = sample(vec![7; cap]);
-        let (ctrl, aux) = d.encode(128).unwrap();
+        let (ctrl, aux) = encode(&d, 128).unwrap();
         assert!(aux.is_empty());
         assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap(), d);
     }
@@ -313,7 +330,7 @@ mod tests {
     fn larger_args_spill_to_aux() {
         let cap = DispatchLine::inline_capacity(128);
         let d = sample((0..=255u8).cycle().take(cap + 300).collect());
-        let (ctrl, aux) = d.encode(128).unwrap();
+        let (ctrl, aux) = encode(&d, 128).unwrap();
         assert_eq!(aux.len(), 300usize.div_ceil(128));
         assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap(), d);
     }
@@ -322,7 +339,7 @@ mod tests {
     fn works_with_64_byte_lines() {
         // CXL-class 64 B lines: less inline room, more AUX.
         let d = sample(vec![9; 100]);
-        let (ctrl, aux) = d.encode(64).unwrap();
+        let (ctrl, aux) = encode(&d, 64).unwrap();
         assert_eq!(ctrl.len(), 64);
         assert_eq!(aux.len(), DispatchLine::aux_lines_needed(100, 64));
         assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap(), d);
@@ -331,7 +348,7 @@ mod tests {
     #[test]
     fn tryagain_and_retire_round_trip() {
         for d in [DispatchLine::try_again(), DispatchLine::retire()] {
-            let (ctrl, aux) = d.encode(128).unwrap();
+            let (ctrl, aux) = encode(&d, 128).unwrap();
             assert_eq!(DispatchLine::decode(&ctrl, &aux).unwrap().kind, d.kind);
         }
     }
@@ -343,7 +360,7 @@ mod tests {
             DispatchLine::try_again_with_hint(200),
             DispatchLine::retire_with_hint(255),
         ] {
-            let (ctrl, aux) = d.encode(128).unwrap();
+            let (ctrl, aux) = encode(&d, 128).unwrap();
             let back = DispatchLine::decode(&ctrl, &aux).unwrap();
             assert_eq!(back.load_hint(), d.load_hint());
             assert_eq!(back, d);
@@ -359,7 +376,7 @@ mod tests {
     fn missing_aux_detected() {
         let cap = DispatchLine::inline_capacity(128);
         let d = sample(vec![1; cap + 10]);
-        let (ctrl, _) = d.encode(128).unwrap();
+        let (ctrl, _) = encode(&d, 128).unwrap();
         assert!(matches!(
             DispatchLine::decode(&ctrl, &[]),
             Err(PacketError::Truncated { .. })
@@ -369,7 +386,7 @@ mod tests {
     #[test]
     fn bad_kind_rejected() {
         let d = sample(vec![]);
-        let (mut ctrl, aux) = d.encode(128).unwrap();
+        let (mut ctrl, aux) = encode(&d, 128).unwrap();
         ctrl[28] = 0;
         assert!(matches!(
             DispatchLine::decode(&ctrl, &aux),

@@ -11,18 +11,20 @@
 //!   wire,
 //! * [`LauberhornNic::on_timeout`] — a TRYAGAIN timer fired.
 //!
-//! Each returns [`NicAction`]s: timestamped instructions for the
+//! Each appends [`NicAction`]s — timestamped instructions for the
 //! simulation (answer this fill, fetch-exclusive and transmit, DMA this
-//! buffer, …). Keeping the NIC pure in this sense makes every decision
-//! unit-testable and lets the model checker drive the same logic.
+//! buffer, …) — to a buffer the caller owns and reuses, so the steady
+//! state allocates nothing. Keeping the NIC pure in this sense makes
+//! every decision unit-testable and lets the model checker drive the
+//! same logic.
 
 use std::collections::HashMap;
 
-use lauberhorn_coherence::{FillToken, LineAddr};
+use lauberhorn_coherence::{FillToken, LineAddr, LineData};
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::marshal::transform_to_dispatch_form;
-use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, RpcHeader, RpcKind};
+use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind};
 use lauberhorn_sim::{
     AdmissionCtl, OverloadConfig, ShedReason, SimDuration, SimTime, TenancyConfig,
 };
@@ -30,11 +32,13 @@ use lauberhorn_sim::{
 use crate::continuation::ContinuationTable;
 use crate::demux::{DemuxError, DemuxTable};
 use crate::dispatch::{DispatchKind, DispatchLine};
-use crate::endpoint::{Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome};
+use crate::endpoint::{
+    Effect, Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome,
+};
 use crate::large::LargeTransferModel;
 use crate::load::{Advice, LoadTracker};
 use crate::sched_mirror::SchedMirror;
-use crate::tenancy::{RateLimited, TenantPipeline};
+use crate::tenancy::{PipelineExit, RateLimited, TenantPipeline};
 
 /// Static configuration.
 #[derive(Debug, Clone)]
@@ -157,7 +161,7 @@ pub enum NicAction {
         /// The parked fill to answer.
         token: FillToken,
         /// Line contents.
-        data: Vec<u8>,
+        data: LineData,
         /// When the NIC issues the response.
         at: SimTime,
     },
@@ -367,6 +371,12 @@ pub struct LauberhornNic {
     /// Per-tenant staged pipeline, when an *enforcing* tenancy plan is
     /// armed ([`LauberhornNic::arm_tenancy`]).
     tenancy: Option<TenantPipeline>,
+    /// Endpoint effects awaiting [`LauberhornNic::map_effects`]; empty
+    /// between calls, kept for its capacity.
+    fx: Vec<Effect>,
+    /// Frames leaving the tenant pipeline in one pump; empty between
+    /// calls, kept for its capacity.
+    exits: Vec<PipelineExit>,
 }
 
 impl LauberhornNic {
@@ -389,6 +399,8 @@ impl LauberhornNic {
             stats: LbNicStats::default(),
             admission: None,
             tenancy: None,
+            fx: Vec::new(),
+            exits: Vec::new(),
             cfg,
         }
     }
@@ -464,7 +476,8 @@ impl LauberhornNic {
         request_id: u64,
         hint: u8,
         at: SimTime,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         // Fairness refusals are already counted inside
         // `AdmissionCtl::admit`; noting them again here would double
         // the per-service shed counters.
@@ -474,13 +487,13 @@ impl LauberhornNic {
             }
         }
         self.stats.shed += 1;
-        vec![NicAction::Shed {
+        out.push(NicAction::Shed {
             reason,
             service,
             request_id,
             hint,
             at,
-        }]
+        });
     }
 
     /// The configuration.
@@ -650,16 +663,17 @@ impl LauberhornNic {
         self.load.set_cores(service, cores);
     }
 
+    /// Turns the endpoint effects collected in `self.fx` (from endpoint
+    /// `id`) into actions appended to `out`, leaving `self.fx` empty.
     fn map_effects(
         &mut self,
         id: EndpointId,
-        effects: Vec<crate::endpoint::Effect>,
         at: SimTime,
         loading_core: Option<usize>,
-    ) -> Vec<NicAction> {
-        use crate::endpoint::Effect;
-        let mut out = Vec::with_capacity(effects.len());
-        for e in effects {
+        out: &mut Vec<NicAction>,
+    ) {
+        let mut effects = std::mem::take(&mut self.fx);
+        for e in effects.drain(..) {
             match e {
                 Effect::Respond { token, data } => {
                     // Answering a fill unparks whatever core was waiting.
@@ -708,7 +722,7 @@ impl LauberhornNic {
                 }
             }
         }
-        out
+        self.fx = effects;
     }
 
     /// A core's load on device line `addr` was parked with `token`.
@@ -718,15 +732,17 @@ impl LauberhornNic {
         core: usize,
         token: FillToken,
         addr: LineAddr,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
         let Some((id, role)) = self.endpoint_at(addr) else {
             // Not an endpoint line: answer zeros (device register space).
-            return vec![NicAction::CompleteFill {
+            out.push(NicAction::CompleteFill {
                 token,
-                data: vec![0; self.cfg.line_size],
+                data: LineData::zeroed(self.cfg.line_size),
                 at,
-            }];
+            });
+            return;
         };
         let is_kernel = matches!(self.modes.get(&id), Some(EpMode::Kernel { .. }));
         // Kernel-endpoint work stealing: a core parking on an empty
@@ -754,7 +770,7 @@ impl LauberhornNic {
                     .and_then(|e| e.steal_request());
                 if let Some((line, ctx)) = stolen {
                     if let Some(ep) = self.endpoints.get_mut(&id) {
-                        let outcome = ep.on_request(line, ctx, now);
+                        let outcome = ep.on_request(line, ctx, now, &mut Vec::new());
                         debug_assert!(
                             matches!(outcome, RequestOutcome::Queued { .. }),
                             "not parked yet, so the steal queues"
@@ -771,32 +787,31 @@ impl LauberhornNic {
         // mid-request (nested RPC, §6) has not finished its request,
         // so user-endpoint responses are only ever collected by the
         // endpoint's own other-line load.
-        let mut pre = Vec::new();
         if let Some(prev) = self.pending_response_by_core.get(&core).copied() {
             let prev_is_kernel = matches!(self.modes.get(&prev), Some(EpMode::Kernel { .. }));
             if prev != id && prev_is_kernel {
                 if let Some(pep) = self.endpoints.get_mut(&prev) {
                     if let Some((line, ctx)) = pep.take_outstanding() {
                         self.stats.responses_tx += 1;
-                        pre.push(NicAction::CollectAndTransmit { line, ctx, at });
+                        out.push(NicAction::CollectAndTransmit { line, ctx, at });
                     }
                 }
                 self.pending_response_by_core.remove(&core);
             }
         }
-        let (effects, ep_process) = match self.endpoints.get_mut(&id) {
+        let ep_process = match self.endpoints.get_mut(&id) {
             Some(ep) => {
-                let fx = ep.on_load(role, token, now);
-                (fx, Some(ep.process))
+                ep.on_load(role, token, now, &mut self.fx);
+                Some(ep.process)
             }
-            None => (Vec::new(), None),
+            None => None,
         };
         // If the load parked (an ArmTimeout was emitted), record the
         // poller; the NIC infers user/kernel mode from the address (§4).
-        let parked = effects
+        let parked = self
+            .fx
             .iter()
-            .any(|e| matches!(e, crate::endpoint::Effect::ArmTimeout { .. }));
-        let mut effects = effects;
+            .any(|e| matches!(e, Effect::ArmTimeout { .. }));
         if parked {
             // lint:allow(unbounded-growth): keyed by endpoint id; at most one parked core per endpoint
             self.parked_core.insert(id, core);
@@ -812,45 +827,38 @@ impl LauberhornNic {
                 // the core can serve the other process — the NIC
                 // "provides dynamic load information to the kernel ...
                 // to reallocate cores".
-                let matching = {
-                    let demux = &self.demux;
-                    let kernel_eps: Vec<EndpointId> =
-                        self.kernel_eps.iter().flatten().copied().collect();
-                    let mut found = None;
-                    for kid in kernel_eps {
-                        let stolen = self.endpoints.get_mut(&kid).and_then(|e| {
-                            e.steal_where(|ctx| {
-                                demux
-                                    .service(ctx.service_id)
-                                    .map(|s| s.process == process)
-                                    .unwrap_or(false)
-                            })
-                        });
-                        if stolen.is_some() {
-                            found = stolen;
-                            break;
-                        }
+                let demux = &self.demux;
+                let mut matching = None;
+                for kid in self.kernel_eps.iter().flatten() {
+                    let stolen = self.endpoints.get_mut(kid).and_then(|e| {
+                        e.steal_where(|ctx| {
+                            demux
+                                .service(ctx.service_id)
+                                .map(|s| s.process == process)
+                                .unwrap_or(false)
+                        })
+                    });
+                    if stolen.is_some() {
+                        matching = stolen;
+                        break;
                     }
-                    found
-                };
+                }
                 if let Some((line, ctx)) = matching {
                     self.stats.fast_path += 1;
                     match self
                         .endpoints
                         .get_mut(&id)
-                        .map(|ep| ep.on_request(line, ctx, now))
+                        .map(|ep| ep.on_request(line, ctx, now, &mut self.fx))
                     {
-                        Some(RequestOutcome::DeliveredToParked(fx)) => effects.extend(fx),
+                        Some(RequestOutcome::DeliveredToParked) => {}
                         other => debug_assert!(other.is_none(), "endpoint just parked"),
                     }
                 } else if let Some(ep) = self.endpoints.get_mut(&id) {
-                    effects.extend(ep.retire());
+                    ep.retire(&mut self.fx);
                 }
             }
         }
-        let mut actions = pre;
-        actions.extend(self.map_effects(id, effects, at, Some(core)));
-        actions
+        self.map_effects(id, at, Some(core), out);
     }
 
     /// Total requests waiting in kernel dispatch queues.
@@ -868,23 +876,27 @@ impl LauberhornNic {
         now: SimTime,
         endpoint: EndpointId,
         generation: u64,
-    ) -> Vec<NicAction> {
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
-        let effects = match self.endpoints.get_mut(&endpoint) {
-            Some(ep) => ep.on_timeout(generation),
-            None => Vec::new(),
-        };
-        self.map_effects(endpoint, effects, at, None)
+        if let Some(ep) = self.endpoints.get_mut(&endpoint) {
+            ep.on_timeout(generation, &mut self.fx);
+        }
+        self.map_effects(endpoint, at, None, out);
     }
 
     /// Retires the waiter parked on `endpoint` (§5.2 core reallocation).
-    pub fn retire_endpoint(&mut self, now: SimTime, endpoint: EndpointId) -> Vec<NicAction> {
+    pub fn retire_endpoint(
+        &mut self,
+        now: SimTime,
+        endpoint: EndpointId,
+        out: &mut Vec<NicAction>,
+    ) {
         let at = now + self.cfg.nic_proc;
-        let effects = match self.endpoints.get_mut(&endpoint) {
-            Some(ep) => ep.retire(),
-            None => Vec::new(),
-        };
-        self.map_effects(endpoint, effects, at, None)
+        if let Some(ep) = self.endpoints.get_mut(&endpoint) {
+            ep.retire(&mut self.fx);
+        }
+        self.map_effects(endpoint, at, None, out);
     }
 
     fn deser_time(&self, wire_len: usize) -> SimDuration {
@@ -922,21 +934,27 @@ impl LauberhornNic {
         DispatchLine::inline_capacity(self.cfg.line_size) + self.cfg.n_aux * self.cfg.line_size
     }
 
-    fn drop_frame(&mut self, reason: DropReason, request_id: Option<u64>) -> Vec<NicAction> {
+    fn drop_frame(
+        &mut self,
+        reason: DropReason,
+        request_id: Option<u64>,
+        out: &mut Vec<NicAction>,
+    ) {
         self.stats.dropped += 1;
-        vec![NicAction::Dropped { reason, request_id }]
+        out.push(NicAction::Dropped { reason, request_id });
     }
 
-    /// A frame arrives from the wire at `now`.
-    pub fn on_request_frame(&mut self, now: SimTime, raw: &[u8]) -> Vec<NicAction> {
+    /// A frame arrives from the wire at `now`. The frame is shared,
+    /// not copied, when the tenant pipeline holds on to it.
+    pub fn on_request_frame(&mut self, now: SimTime, raw: &PktBuf, out: &mut Vec<NicAction>) {
         // Zero-copy parse: the headers are decoded in place and the RPC
         // payload is borrowed from the wire buffer until the dispatch
         // line is built.
         let Ok(frame) = parse_udp_frame_ref(raw) else {
-            return self.drop_frame(DropReason::BadFrame, None);
+            return self.drop_frame(DropReason::BadFrame, None, out);
         };
         let Ok((header, wire_payload)) = RpcHeader::decode_message(frame.payload) else {
-            return self.drop_frame(DropReason::BadRpcHeader, None);
+            return self.drop_frame(DropReason::BadRpcHeader, None, out);
         };
         let client = EndpointAddr {
             mac: frame.eth.src,
@@ -956,9 +974,15 @@ impl LauberhornNic {
                     .as_ref()
                     .is_some_and(|p| p.covers(header.service_id))
                 {
-                    return self.tenant_ingress(now, header.service_id, header.request_id, raw);
+                    return self.tenant_ingress(
+                        now,
+                        header.service_id,
+                        header.request_id,
+                        raw,
+                        out,
+                    );
                 }
-                self.handle_request(t, header, wire_payload, client)
+                self.handle_request(t, header, wire_payload, client, out)
             }
             RpcKind::Response | RpcKind::Error => {
                 // A reply for a nested RPC: dispatch via continuation.
@@ -966,6 +990,7 @@ impl LauberhornNic {
                     return self.drop_frame(
                         DropReason::UnknownContinuation(header.cont_hint),
                         Some(header.request_id),
+                        out,
                     );
                 };
                 self.stats.continuations_hit += 1;
@@ -988,16 +1013,16 @@ impl LauberhornNic {
                 };
                 let id = cont.endpoint;
                 let outcome = match self.endpoints.get_mut(&id) {
-                    Some(ep) => ep.on_request(line, ctx, t),
-                    None => return self.drop_frame(DropReason::Overflow, Some(header.request_id)),
+                    Some(ep) => ep.on_request(line, ctx, t, &mut self.fx),
+                    None => {
+                        return self.drop_frame(DropReason::Overflow, Some(header.request_id), out)
+                    }
                 };
                 match outcome {
-                    RequestOutcome::DeliveredToParked(effects) => {
-                        self.map_effects(id, effects, t, None)
-                    }
-                    RequestOutcome::Queued { .. } => Vec::new(),
-                    RequestOutcome::Rejected => {
-                        self.drop_frame(DropReason::Overflow, Some(header.request_id))
+                    RequestOutcome::DeliveredToParked => self.map_effects(id, t, None, out),
+                    RequestOutcome::Queued { .. } => {}
+                    RequestOutcome::Rejected(..) => {
+                        self.drop_frame(DropReason::Overflow, Some(header.request_id), out)
                     }
                 }
             }
@@ -1013,23 +1038,22 @@ impl LauberhornNic {
         now: SimTime,
         service: u16,
         request_id: u64,
-        raw: &[u8],
-    ) -> Vec<NicAction> {
-        let hint = self
-            .demux
-            .service(service)
-            .map(|svc| svc.endpoints.clone())
-            .map(|eps| self.service_hint(&eps))
-            .unwrap_or(0);
+        raw: &PktBuf,
+        out: &mut Vec<NicAction>,
+    ) {
         // The caller only routes covered tenants here; with no armed
         // pipeline there is nothing to admit into.
         let Some(pipe) = self.tenancy.as_mut() else {
-            return Vec::new();
+            return;
         };
-        match pipe.offer(now, service, raw.to_vec()) {
-            Ok(()) => vec![NicAction::PipelinePump { at: now }],
+        match pipe.offer(now, service, raw.clone()) {
+            Ok(()) => out.push(NicAction::PipelinePump { at: now }),
             Err(RateLimited) => {
-                self.shed_frame(ShedReason::RateLimit, service, request_id, hint, now)
+                let hint = self
+                    .demux
+                    .service(service)
+                    .map_or(0, |svc| self.service_hint(&svc.endpoints));
+                self.shed_frame(ShedReason::RateLimit, service, request_id, hint, now, out)
             }
         }
     }
@@ -1039,19 +1063,19 @@ impl LauberhornNic {
     /// (re-parsed from the wire bytes the ingress already validated),
     /// and a follow-up pump is requested while any stage remains in
     /// service. A no-op unless an enforcing plan is armed.
-    pub fn pump_tenancy(&mut self, now: SimTime) -> Vec<NicAction> {
-        let (exits, next) = match self.tenancy.as_mut() {
-            Some(p) => p.pump(now),
-            None => return Vec::new(),
+    pub fn pump_tenancy(&mut self, now: SimTime, out: &mut Vec<NicAction>) {
+        let mut exits = std::mem::take(&mut self.exits);
+        let next = match self.tenancy.as_mut() {
+            Some(p) => p.pump(now, &mut exits),
+            None => return,
         };
-        let mut actions = Vec::new();
-        for (done, _tenant, raw) in exits {
+        for (done, _tenant, raw) in exits.drain(..) {
             let Ok(frame) = parse_udp_frame_ref(&raw) else {
-                actions.extend(self.drop_frame(DropReason::BadFrame, None));
+                self.drop_frame(DropReason::BadFrame, None, out);
                 continue;
             };
             let Ok((header, wire_payload)) = RpcHeader::decode_message(frame.payload) else {
-                actions.extend(self.drop_frame(DropReason::BadRpcHeader, None));
+                self.drop_frame(DropReason::BadRpcHeader, None, out);
                 continue;
             };
             let client = EndpointAddr {
@@ -1059,12 +1083,12 @@ impl LauberhornNic {
                 ip: frame.ip.src,
                 port: frame.udp.src_port,
             };
-            actions.extend(self.handle_request(done, header, wire_payload, client));
+            self.handle_request(done, header, wire_payload, client, out);
         }
+        self.exits = exits;
         if let Some(at) = next {
-            actions.push(NicAction::PipelinePump { at });
+            out.push(NicAction::PipelinePump { at });
         }
-        actions
     }
 
     fn handle_request(
@@ -1073,37 +1097,32 @@ impl LauberhornNic {
         header: RpcHeader,
         wire_payload: &[u8],
         client: EndpointAddr,
-    ) -> Vec<NicAction> {
-        let (code_ptr, data_ptr, signature, process, endpoints) =
-            match self.demux.method(header.service_id, header.method_id) {
-                Ok(m) => match self.demux.service(header.service_id) {
-                    Ok(svc) => (
-                        m.code_ptr,
-                        m.data_ptr,
-                        m.signature.clone(),
-                        svc.process,
-                        svc.endpoints.clone(),
-                    ),
-                    Err(_) => {
-                        return self.drop_frame(
-                            DropReason::UnknownService(header.service_id),
-                            Some(header.request_id),
-                        )
-                    }
-                },
-                Err(DemuxError::UnknownService(s)) => {
-                    return self.drop_frame(DropReason::UnknownService(s), Some(header.request_id))
-                }
-                Err(DemuxError::UnknownMethod { service, method }) => {
-                    return self.drop_frame(
-                        DropReason::UnknownMethod(service, method),
-                        Some(header.request_id),
-                    )
-                }
-            };
+        out: &mut Vec<NicAction>,
+    ) {
+        let request_id = Some(header.request_id);
+        let method = match self.demux.method(header.service_id, header.method_id) {
+            Ok(m) => m,
+            Err(DemuxError::UnknownService(s)) => {
+                return self.drop_frame(DropReason::UnknownService(s), request_id, out)
+            }
+            Err(DemuxError::UnknownMethod { service, method }) => {
+                return self.drop_frame(DropReason::UnknownMethod(service, method), request_id, out)
+            }
+        };
+        let Ok(svc) = self.demux.service(header.service_id) else {
+            return self.drop_frame(
+                DropReason::UnknownService(header.service_id),
+                request_id,
+                out,
+            );
+        };
+        // Borrowed from the demux table for the rest of the routing
+        // decision; only the disjoint endpoint/statistics state mutates.
+        let (code_ptr, data_ptr, process) = (method.code_ptr, method.data_ptr, svc.process);
+        let endpoints: &[EndpointId] = &svc.endpoints;
         // Deserialization offload: wire form → dispatch form (§5.1).
-        let Ok(args) = transform_to_dispatch_form(&signature, wire_payload) else {
-            return self.drop_frame(DropReason::Malformed, Some(header.request_id));
+        let Ok(args) = transform_to_dispatch_form(&method.signature, wire_payload) else {
+            return self.drop_frame(DropReason::Malformed, request_id, out);
         };
         t += self.deser_time(wire_payload.len());
         self.stats.rx_requests += 1;
@@ -1112,17 +1131,17 @@ impl LauberhornNic {
         // congestion, a service pulling more than its fair share of the
         // admission window is shed before it can occupy a queue slot.
         if self.admission.is_some() {
-            let congested = self.congested(&endpoints);
-            let hint = self.service_hint(&endpoints);
+            let congested = self.congested(endpoints);
+            let hint = self.service_hint(endpoints);
             let verdict = self
                 .admission
                 .as_mut()
                 .map_or(Ok(()), |adm| adm.admit(header.service_id, t, congested));
             if let Err(reason) = verdict {
-                return self.shed_frame(reason, header.service_id, header.request_id, hint, t);
+                return self.shed_frame(reason, header.service_id, header.request_id, hint, t, out);
             }
         }
-        let ctx = RequestCtx {
+        let mut ctx = RequestCtx {
             request_id: header.request_id,
             service_id: header.service_id,
             method_id: header.method_id,
@@ -1131,8 +1150,8 @@ impl LauberhornNic {
         };
         // Large-message fallback (§6): payload too big for the line
         // protocol goes through DMA and the line carries a descriptor.
-        let mut pre_actions = Vec::new();
-        let line = if args.len() > self.aux_capacity() || args.len() >= self.cfg.dma_threshold {
+        let staged = out.len();
+        let mut line = if args.len() > self.aux_capacity() || args.len() >= self.cfg.dma_threshold {
             self.stats.dma_fallbacks += 1;
             let buffer = self.dma_cursor;
             self.dma_cursor += (args.len() as u64).div_ceil(4096) * 4096;
@@ -1140,7 +1159,7 @@ impl LauberhornNic {
             let mut desc = Vec::with_capacity(16);
             desc.extend_from_slice(&buffer.to_le_bytes());
             desc.extend_from_slice(&(args.len() as u64).to_le_bytes());
-            pre_actions.push(NicAction::DmaWrite {
+            out.push(NicAction::DmaWrite {
                 buffer,
                 bytes: args,
                 done_at,
@@ -1172,30 +1191,27 @@ impl LauberhornNic {
             .iter()
             .find(|id| self.endpoints.get(id).is_some_and(|e| e.is_parked()));
         if let Some(&id) = parked_user {
-            match self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line, ctx, t))
-            {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+            let Some(ep) = self.endpoints.get_mut(&id) else {
+                return;
+            };
+            match ep.on_request(line, ctx, t, &mut self.fx) {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.fast_path += 1;
-                    let mut actions = pre_actions;
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
+                    return self.map_effects(id, t, None, out);
                 }
-                Some(RequestOutcome::Queued { depth }) => {
+                RequestOutcome::Queued { depth } => {
                     // A wedged line engine (stuck-line fault) holds a
                     // parked fill it cannot answer: the request queues
                     // behind it until the watchdog repairs the line.
                     self.stats.queued_user += 1;
                     self.load.record_queue_depth(header.service_id, depth);
-                    return pre_actions;
+                    return;
                 }
-                other => {
-                    // A parked endpoint answers the delivery; anything
-                    // else means it vanished between the scan and now.
-                    debug_assert!(other.is_none(), "endpoint was parked");
-                    return pre_actions;
+                RequestOutcome::Rejected(..) => {
+                    // A parked endpoint answers the delivery or (wedged)
+                    // queues it; refusing it is a protocol bug.
+                    debug_assert!(false, "endpoint was parked");
+                    return;
                 }
             }
         }
@@ -1216,38 +1232,28 @@ impl LauberhornNic {
             let scale_out = depth >= self.cfg.scale_up_queue_threshold
                 && !self.mirror.kernel_pollers().is_empty();
             if !scale_out {
-                let depth_now = {
-                    match self
-                        .endpoints
-                        .get_mut(&id)
-                        .map(|ep| ep.on_request(line.clone(), ctx.clone(), t))
-                    {
-                        Some(RequestOutcome::Queued { depth }) => Some(depth),
-                        Some(RequestOutcome::DeliveredToParked(effects)) => {
-                            // Raced with a park between the check and now.
-                            self.stats.fast_path += 1;
-                            let mut actions = pre_actions;
-                            actions.extend(self.map_effects(id, effects, t, None));
-                            return actions;
+                match Self::offer(&mut self.endpoints, &mut self.fx, id, (line, ctx), t) {
+                    RequestOutcome::Queued { depth } => {
+                        self.stats.queued_user += 1;
+                        self.load.record_queue_depth(header.service_id, depth);
+                        let advice = self.load.advice(header.service_id);
+                        if advice != Advice::Hold {
+                            out.push(NicAction::ScaleHint {
+                                service: header.service_id,
+                                advice,
+                                at: t,
+                            });
                         }
-                        Some(RequestOutcome::Rejected) | None => None,
+                        return;
                     }
-                };
-                if let Some(depth) = depth_now {
-                    self.stats.queued_user += 1;
-                    self.load.record_queue_depth(header.service_id, depth);
-                    let mut actions = pre_actions;
-                    let advice = self.load.advice(header.service_id);
-                    if advice != Advice::Hold {
-                        actions.push(NicAction::ScaleHint {
-                            service: header.service_id,
-                            advice,
-                            at: t,
-                        });
+                    RequestOutcome::DeliveredToParked => {
+                        // Raced with a park between the check and now.
+                        self.stats.fast_path += 1;
+                        return self.map_effects(id, t, None, out);
                     }
-                    return actions;
+                    // Fall through to kernel delivery on overflow.
+                    RequestOutcome::Rejected(l, c) => (line, ctx) = (l, c),
                 }
-                // Fall through to kernel delivery on overflow.
             }
         }
         // 3. a core parked in the kernel-mode dispatch loop takes it.
@@ -1256,74 +1262,51 @@ impl LauberhornNic {
         //    down) between observations is not a crash, the request
         //    just falls through to the kernel queues.
         if let Some((core, kep)) = self.mirror.kernel_pollers().first().copied() {
-            let outcome = self
-                .endpoints
-                .get_mut(&kep)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+            match Self::offer(&mut self.endpoints, &mut self.fx, kep, (line, ctx), t) {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.kernel_path += 1;
-                    let mut actions = pre_actions;
-                    actions.push(NicAction::KernelDelivery {
+                    out.push(NicAction::KernelDelivery {
                         core,
                         process,
                         at: t,
                     });
-                    actions.extend(self.map_effects(kep, effects, t, None));
-                    return actions;
+                    return self.map_effects(kep, t, None, out);
                 }
-                Some(RequestOutcome::Queued { .. }) => {
+                RequestOutcome::Queued { .. } => {
                     // Stale mirror: the poller had already woken, but
                     // the request is safely queued at its endpoint.
                     self.stats.queued_kernel += 1;
-                    return pre_actions;
+                    return;
                 }
-                Some(RequestOutcome::Rejected) | None => {}
+                RequestOutcome::Rejected(l, c) => (line, ctx) = (l, c),
             }
         }
         // 4. queue at the least-loaded kernel endpoint; with every core
         //    busy in user loops, additionally ask the OS to preempt one
         //    back to the dispatch loop so the queue drains promptly.
-        let kq = self
-            .kernel_eps
-            .iter()
-            .flatten()
-            .min_by_key(|id| {
-                self.endpoints
-                    .get(id)
-                    .map_or(usize::MAX, |e| e.queue_depth())
-            })
-            .copied();
-        if let Some(id) = kq {
-            let outcome = self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
-                Some(RequestOutcome::Queued { .. }) => {
+        if let Some(id) = self.least_loaded_kernel_endpoint() {
+            match Self::offer(&mut self.endpoints, &mut self.fx, id, (line, ctx), t) {
+                RequestOutcome::Queued { .. } => {
                     self.stats.queued_kernel += 1;
-                    let mut actions = pre_actions;
                     if let Some(core) = self.preemption_victim() {
-                        actions.push(NicAction::RequestPreempt { core, at: t });
+                        out.push(NicAction::RequestPreempt { core, at: t });
                     }
-                    return actions;
+                    return;
                 }
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.kernel_path += 1;
                     let core = match self.modes.get(&id) {
                         Some(EpMode::Kernel { core }) => *core,
                         _ => 0,
                     };
-                    let mut actions = pre_actions;
-                    actions.push(NicAction::KernelDelivery {
+                    out.push(NicAction::KernelDelivery {
                         core,
                         process,
                         at: t,
                     });
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
+                    return self.map_effects(id, t, None, out);
                 }
-                Some(RequestOutcome::Rejected) | None => {}
+                RequestOutcome::Rejected(l, c) => (line, ctx) = (l, c),
             }
         }
         // 5. last resort: queue at a user endpoint of the service even
@@ -1335,33 +1318,65 @@ impl LauberhornNic {
                 .map_or(usize::MAX, |e| e.queue_depth())
         }) {
             if let Some(ep) = self.endpoints.get_mut(&id) {
-                match ep.on_request(line, ctx, t) {
+                match ep.on_request(line, ctx, t, &mut self.fx) {
                     RequestOutcome::Queued { depth } => {
                         self.stats.queued_user += 1;
                         self.load.record_queue_depth(header.service_id, depth);
-                        return pre_actions;
+                        return;
                     }
-                    RequestOutcome::DeliveredToParked(effects) => {
+                    RequestOutcome::DeliveredToParked => {
                         self.stats.fast_path += 1;
-                        let mut actions = pre_actions;
-                        actions.extend(self.map_effects(id, effects, t, None));
-                        return actions;
+                        return self.map_effects(id, t, None, out);
                     }
-                    RequestOutcome::Rejected => {}
+                    RequestOutcome::Rejected(..) => {}
                 }
             }
         }
+        // No target took the request: only its shed or drop is
+        // reported, not the DMA write staged for it.
+        out.truncate(staged);
         if self.admission.is_some() {
-            let hint = self.service_hint(&endpoints);
+            let hint = self.service_hint(endpoints);
             return self.shed_frame(
                 ShedReason::Capacity,
                 header.service_id,
                 header.request_id,
                 hint,
                 t,
+                out,
             );
         }
-        self.drop_frame(DropReason::Overflow, Some(header.request_id))
+        self.drop_frame(DropReason::Overflow, request_id, out)
+    }
+
+    /// Offers a request to endpoint `id`, collecting delivery effects
+    /// in `fx`; an endpoint that vanished refuses it like a full one.
+    /// Takes the two fields it touches, not `self`, so callers can keep
+    /// borrowing the demux table.
+    fn offer(
+        endpoints: &mut HashMap<EndpointId, Endpoint>,
+        fx: &mut Vec<Effect>,
+        id: EndpointId,
+        (line, ctx): (DispatchLine, RequestCtx),
+        t: SimTime,
+    ) -> RequestOutcome {
+        match endpoints.get_mut(&id) {
+            Some(ep) => ep.on_request(line, ctx, t, fx),
+            None => RequestOutcome::Rejected(line, ctx),
+        }
+    }
+
+    /// The kernel endpoint with the shortest queue (first on ties).
+    fn least_loaded_kernel_endpoint(&self) -> Option<EndpointId> {
+        self.kernel_eps
+            .iter()
+            .flatten()
+            .min_by_key(|id| {
+                self.endpoints
+                    .get(id)
+                    .map_or(usize::MAX, |e| e.queue_depth())
+            })
+            .copied()
     }
 
     /// Re-queues a request salvaged from a crashed process onto the
@@ -1372,85 +1387,68 @@ impl LauberhornNic {
     pub fn redeliver_to_kernel(
         &mut self,
         now: SimTime,
-        line: DispatchLine,
-        ctx: RequestCtx,
-    ) -> Vec<NicAction> {
+        mut line: DispatchLine,
+        mut ctx: RequestCtx,
+        out: &mut Vec<NicAction>,
+    ) {
         let t = now + self.cfg.nic_proc;
         let request_id = ctx.request_id;
         let process = match self.demux.service(ctx.service_id) {
             Ok(svc) => svc.process,
             Err(_) => {
-                return self
-                    .drop_frame(DropReason::UnknownService(ctx.service_id), Some(request_id))
+                return self.drop_frame(
+                    DropReason::UnknownService(ctx.service_id),
+                    Some(request_id),
+                    out,
+                )
             }
         };
         // As in `handle_request`, tolerate a stale mirror: a poller
         // that vanished means the request falls through to the queues.
         if let Some((core, kep)) = self.mirror.kernel_pollers().first().copied() {
-            let outcome = self
-                .endpoints
-                .get_mut(&kep)
-                .map(|ep| ep.on_request(line.clone(), ctx.clone(), t));
-            match outcome {
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+            match Self::offer(&mut self.endpoints, &mut self.fx, kep, (line, ctx), t) {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.kernel_path += 1;
-                    let mut actions = vec![NicAction::KernelDelivery {
+                    out.push(NicAction::KernelDelivery {
                         core,
                         process,
                         at: t,
-                    }];
-                    actions.extend(self.map_effects(kep, effects, t, None));
-                    return actions;
+                    });
+                    return self.map_effects(kep, t, None, out);
                 }
-                Some(RequestOutcome::Queued { .. }) => {
+                RequestOutcome::Queued { .. } => {
                     self.stats.queued_kernel += 1;
-                    return Vec::new();
+                    return;
                 }
-                Some(RequestOutcome::Rejected) | None => {}
+                RequestOutcome::Rejected(l, c) => (line, ctx) = (l, c),
             }
         }
-        let kq = self
-            .kernel_eps
-            .iter()
-            .flatten()
-            .min_by_key(|id| {
-                self.endpoints
-                    .get(id)
-                    .map_or(usize::MAX, |e| e.queue_depth())
-            })
-            .copied();
-        if let Some(id) = kq {
-            match self
-                .endpoints
-                .get_mut(&id)
-                .map(|ep| ep.on_request(line, ctx, t))
-            {
-                Some(RequestOutcome::Queued { .. }) => {
+        if let Some(id) = self.least_loaded_kernel_endpoint() {
+            match Self::offer(&mut self.endpoints, &mut self.fx, id, (line, ctx), t) {
+                RequestOutcome::Queued { .. } => {
                     self.stats.queued_kernel += 1;
-                    let mut actions = Vec::new();
                     if let Some(core) = self.preemption_victim() {
-                        actions.push(NicAction::RequestPreempt { core, at: t });
+                        out.push(NicAction::RequestPreempt { core, at: t });
                     }
-                    return actions;
+                    return;
                 }
-                Some(RequestOutcome::DeliveredToParked(effects)) => {
+                RequestOutcome::DeliveredToParked => {
                     self.stats.kernel_path += 1;
                     let core = match self.modes.get(&id) {
                         Some(EpMode::Kernel { core }) => *core,
                         _ => 0,
                     };
-                    let mut actions = vec![NicAction::KernelDelivery {
+                    out.push(NicAction::KernelDelivery {
                         core,
                         process,
                         at: t,
-                    }];
-                    actions.extend(self.map_effects(id, effects, t, None));
-                    return actions;
+                    });
+                    return self.map_effects(id, t, None, out);
                 }
-                Some(RequestOutcome::Rejected) | None => {}
+                RequestOutcome::Rejected(..) => {}
             }
         }
-        self.drop_frame(DropReason::Overflow, Some(request_id))
+        self.drop_frame(DropReason::Overflow, Some(request_id), out)
     }
 
     /// Drains every request queued at `endpoint` (used when its owning
@@ -1698,6 +1696,47 @@ mod tests {
         n
     }
 
+    fn rx(n: &mut LauberhornNic, now: SimTime, raw: &[u8]) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        n.on_request_frame(now, &PktBuf::from_vec(raw.to_vec()), &mut out);
+        out
+    }
+
+    fn load(
+        n: &mut LauberhornNic,
+        now: SimTime,
+        core: usize,
+        token: FillToken,
+        addr: LineAddr,
+    ) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        n.on_core_load(now, core, token, addr, &mut out);
+        out
+    }
+
+    fn timeout(n: &mut LauberhornNic, now: SimTime, ep: EndpointId, gen: u64) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        n.on_timeout(now, ep, gen, &mut out);
+        out
+    }
+
+    fn retire(n: &mut LauberhornNic, now: SimTime, ep: EndpointId) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        n.retire_endpoint(now, ep, &mut out);
+        out
+    }
+
+    fn redeliver(
+        n: &mut LauberhornNic,
+        now: SimTime,
+        line: DispatchLine,
+        ctx: RequestCtx,
+    ) -> Vec<NicAction> {
+        let mut out = Vec::new();
+        n.redeliver_to_kernel(now, line, ctx, &mut out);
+        out
+    }
+
     fn request_frame(request_id: u64, value: u64) -> Vec<u8> {
         let sig = Signature::of(&[ArgType::U64]);
         let payload = VarintCodec.encode(&sig, &[Value::U64(value)]).unwrap();
@@ -1725,10 +1764,10 @@ mod tests {
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // Core 2 parks on CONTROL[0].
-        let acts = n.on_core_load(SimTime::ZERO, 2, FillToken(1), layout.ctrl(0));
+        let acts = load(&mut n, SimTime::ZERO, 2, FillToken(1), layout.ctrl(0));
         assert!(matches!(acts[0], NicAction::ArmTimeout { .. }));
         // A request arrives: the fill is answered with the dispatch line.
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(7, 42));
         let fill = acts
             .iter()
             .find_map(|a| match a {
@@ -1767,7 +1806,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::ZERO, &raw);
+        let acts = rx(&mut n, SimTime::ZERO, &raw);
         assert_eq!(
             acts,
             vec![NicAction::Dropped {
@@ -1784,7 +1823,7 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // Process is running (pushed by the kernel) but not parked.
         n.push_running(0, Some(ProcessId(10)), SimTime::ZERO);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(1, 1));
         assert!(acts.is_empty(), "queued silently: {acts:?}");
         assert_eq!(n.stats().queued_user, 1);
         assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 1);
@@ -1797,8 +1836,8 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         let (_kep, klayout) = n.create_kernel_endpoint(3);
         // Core 3 parks on the kernel endpoint.
-        n.on_core_load(SimTime::ZERO, 3, FillToken(9), klayout.ctrl(0));
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(2, 5));
+        load(&mut n, SimTime::ZERO, 3, FillToken(9), klayout.ctrl(0));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(2, 5));
         assert!(acts
             .iter()
             .any(|a| matches!(a, NicAction::KernelDelivery { core: 3, .. })));
@@ -1818,7 +1857,7 @@ mod tests {
         let (ep, _) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
         n.create_kernel_endpoint(0);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(3, 5));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(3, 5));
         assert!(acts.is_empty());
         assert_eq!(n.stats().queued_kernel, 1);
     }
@@ -1828,7 +1867,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        let acts = n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        let acts = load(&mut n, SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
         let NicAction::ArmTimeout {
             endpoint,
             generation,
@@ -1838,7 +1877,7 @@ mod tests {
             panic!("expected arm")
         };
         assert_eq!(at, SimTime::ZERO + crate::endpoint::TRYAGAIN_TIMEOUT);
-        let acts = n.on_timeout(at, endpoint, generation);
+        let acts = timeout(&mut n, at, endpoint, generation);
         let NicAction::CompleteFill { data, .. } = &acts[0] else {
             panic!("expected fill")
         };
@@ -1853,10 +1892,10 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
-        n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        rx(&mut n, SimTime::from_us(1), &request_frame(7, 42));
         // Core handled it and loads CONTROL[1].
-        let acts = n.on_core_load(SimTime::from_us(5), 0, FillToken(2), layout.ctrl(1));
+        let acts = load(&mut n, SimTime::from_us(5), 0, FillToken(2), layout.ctrl(1));
         let collect = acts
             .iter()
             .find_map(|a| match a {
@@ -1877,7 +1916,7 @@ mod tests {
         n.demux_mut()
             .register_method(1, 0xCCCC, 0xDDDD, Signature::of(&[ArgType::Bytes]))
             .unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
         // Build a request with a payload beyond the DMA threshold.
         let big = vec![0xEE; n.config().dma_threshold + 1000];
         let sig = Signature::of(&[ArgType::Bytes]);
@@ -1898,7 +1937,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(1), &raw);
+        let acts = rx(&mut n, SimTime::from_us(1), &raw);
         let dma = acts
             .iter()
             .find_map(|a| match a {
@@ -1937,7 +1976,7 @@ mod tests {
             .create(cep, ProcessId(10), true)
             .unwrap();
         // Client parks on its continuation endpoint.
-        n.on_core_load(SimTime::ZERO, 1, FillToken(4), clayout.ctrl(0));
+        load(&mut n, SimTime::ZERO, 1, FillToken(4), clayout.ctrl(0));
         // A response frame arrives with the hint.
         let header = RpcHeader {
             kind: RpcKind::Response,
@@ -1955,7 +1994,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(2), &raw);
+        let acts = rx(&mut n, SimTime::from_us(2), &raw);
         let NicAction::CompleteFill { data, .. } = &acts[0] else {
             panic!("expected fill, got {acts:?}")
         };
@@ -1964,7 +2003,7 @@ mod tests {
         assert_eq!(line.args, b"okay");
         assert_eq!(n.stats().continuations_hit, 1);
         // One-shot: a second reply with the same hint is dropped.
-        let acts = n.on_request_frame(SimTime::from_us(3), &raw);
+        let acts = rx(&mut n, SimTime::from_us(3), &raw);
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -2012,18 +2051,18 @@ mod tests {
         let (_k1, l1) = n.create_kernel_endpoint(1);
         // Two requests queue while no core is parked; both land on the
         // least-loaded kernel endpoints (one each).
-        n.on_request_frame(SimTime::from_us(1), &request_frame(1, 10));
-        n.on_request_frame(SimTime::from_us(2), &request_frame(2, 20));
+        rx(&mut n, SimTime::from_us(1), &request_frame(1, 10));
+        rx(&mut n, SimTime::from_us(2), &request_frame(2, 20));
         assert_eq!(n.stats().queued_kernel, 2);
         // Core 1 parks on ITS endpoint: it serves its own queued
         // request first...
-        let acts = n.on_core_load(SimTime::from_us(3), 1, FillToken(1), l1.ctrl(0));
+        let acts = load(&mut n, SimTime::from_us(3), 1, FillToken(1), l1.ctrl(0));
         assert!(acts
             .iter()
             .any(|a| matches!(a, NicAction::CompleteFill { .. })));
         // ...and when it parks again, steals core 0's queued request
         // rather than leaving it stranded.
-        let acts = n.on_core_load(SimTime::from_us(4), 1, FillToken(2), l1.ctrl(1));
+        let acts = load(&mut n, SimTime::from_us(4), 1, FillToken(2), l1.ctrl(1));
         let fill = acts.iter().find_map(|a| match a {
             NicAction::CompleteFill { data, .. } => Some(data),
             _ => None,
@@ -2042,8 +2081,8 @@ mod tests {
         let (ep1, l1) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep0).unwrap();
         n.demux_mut().add_endpoint(1, ep1).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), l0.ctrl(0));
-        n.on_core_load(SimTime::ZERO, 1, FillToken(2), l1.ctrl(0));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), l0.ctrl(0));
+        load(&mut n, SimTime::ZERO, 1, FillToken(2), l1.ctrl(0));
         // A request for an *unknown-process* service: register service 2
         // with no endpoints; it must queue at a kernel endpoint and ask
         // the OS to preempt one of the user pollers.
@@ -2069,7 +2108,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::from_us(1), &raw);
+        let acts = rx(&mut n, SimTime::from_us(1), &raw);
         assert!(
             acts.iter()
                 .any(|a| matches!(a, NicAction::RequestPreempt { .. })),
@@ -2084,8 +2123,8 @@ mod tests {
         let (_k0, kl0) = n.create_kernel_endpoint(0);
         // Core 0 parks in the kernel loop; the request is delivered
         // there directly — no preemption needed.
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), kl0.ctrl(0));
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(7, 7));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), kl0.ctrl(0));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(7, 7));
         assert!(!acts
             .iter()
             .any(|a| matches!(a, NicAction::RequestPreempt { .. })));
@@ -2102,10 +2141,10 @@ mod tests {
         n.demux_mut().add_endpoint(1, ep).unwrap();
         // No parked core, no kernel endpoints: requests land in the
         // last-resort user queue, whose cap arm_overload set to 2.
-        n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
-        n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2));
+        rx(&mut n, SimTime::from_us(1), &request_frame(1, 1));
+        rx(&mut n, SimTime::from_us(2), &request_frame(2, 2));
         assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 2);
-        let acts = n.on_request_frame(SimTime::from_us(3), &request_frame(3, 3));
+        let acts = rx(&mut n, SimTime::from_us(3), &request_frame(3, 3));
         match &acts[0] {
             NicAction::Shed {
                 reason: ShedReason::Capacity,
@@ -2126,7 +2165,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), layout.ctrl(0));
         // Garbage payload that is not a valid varint encoding.
         let header = RpcHeader {
             kind: RpcKind::Request,
@@ -2144,7 +2183,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let acts = n.on_request_frame(SimTime::ZERO, &raw);
+        let acts = rx(&mut n, SimTime::ZERO, &raw);
         assert_eq!(
             acts,
             vec![NicAction::Dropped {
@@ -2191,13 +2230,13 @@ mod tests {
             .create(e1, ProcessId(10), true)
             .unwrap();
         // Core 2 parks on e1, core 3 on e2.
-        n.on_core_load(SimTime::ZERO, 2, FillToken(21), l1.ctrl(0));
-        n.on_core_load(SimTime::ZERO, 3, FillToken(31), l2.ctrl(0));
+        load(&mut n, SimTime::ZERO, 2, FillToken(21), l1.ctrl(0));
+        load(&mut n, SimTime::ZERO, 3, FillToken(31), l2.ctrl(0));
         // Request 7 delivers into e1's parked fill: its response is now
         // outstanding on CONTROL[0]. Request 9 (service 2, nobody home)
         // queues at the kernel endpoint.
-        n.on_request_frame(SimTime::from_us(1), &request_frame(7, 42));
-        n.on_request_frame(SimTime::from_us(2), &frame_for_service(2, 9, 5));
+        rx(&mut n, SimTime::from_us(1), &request_frame(7, 42));
+        rx(&mut n, SimTime::from_us(2), &frame_for_service(2, 9, 5));
         assert_eq!(n.stats().queued_kernel, 1);
 
         let salvage = n.reset();
@@ -2221,7 +2260,7 @@ mod tests {
         );
         // The blank NIC knows nothing: requests fail-stop, addresses
         // no longer resolve.
-        let acts = n.on_request_frame(SimTime::from_us(3), &request_frame(8, 1));
+        let acts = rx(&mut n, SimTime::from_us(3), &request_frame(8, 1));
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -2253,7 +2292,7 @@ mod tests {
         // I9 at unit level: the handler finishes and loads CONTROL[1];
         // the reconstructed endpoint collects the pre-fault request's
         // response exactly as the un-reset NIC would have.
-        let acts = n.on_core_load(SimTime::from_us(10), 2, FillToken(22), l1.ctrl(1));
+        let acts = load(&mut n, SimTime::from_us(10), 2, FillToken(22), l1.ctrl(1));
         let collect = acts
             .iter()
             .find_map(|a| match a {
@@ -2265,9 +2304,9 @@ mod tests {
         assert_eq!(collect.1.request_id, 7);
         // Salvaged orphans requeue on the kernel path (PR 2's crash
         // recovery, generalized to the whole NIC).
-        n.on_core_load(SimTime::from_us(11), 0, FillToken(40), lk0.ctrl(0));
+        load(&mut n, SimTime::from_us(11), 0, FillToken(40), lk0.ctrl(0));
         let (line, ctx) = salvage.orphans.into_iter().next().unwrap();
-        let acts = n.redeliver_to_kernel(SimTime::from_us(12), line, ctx);
+        let acts = redeliver(&mut n, SimTime::from_us(12), line, ctx);
         assert!(acts
             .iter()
             .any(|a| matches!(a, NicAction::KernelDelivery { core: 0, .. })));
@@ -2281,7 +2320,7 @@ mod tests {
         let mut n = nic();
         let (ep, layout) = n.create_endpoint(ProcessId(10));
         n.demux_mut().add_endpoint(1, ep).unwrap();
-        let acts = n.on_core_load(SimTime::ZERO, 1, FillToken(5), layout.ctrl(0));
+        let acts = load(&mut n, SimTime::ZERO, 1, FillToken(5), layout.ctrl(0));
         let NicAction::ArmTimeout { generation, at, .. } = acts[0] else {
             panic!("expected arm");
         };
@@ -2291,19 +2330,19 @@ mod tests {
         assert!(!health.healthy());
         assert_eq!(health.stuck_endpoints, vec![ep]);
         // A request queues behind the wedged fill instead of delivering.
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(5, 1));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(5, 1));
         assert!(acts.is_empty(), "black hole: {acts:?}");
         assert_eq!(n.stats().queued_user, 1);
         assert_eq!(n.stats().fast_path, 0);
         // Even the TRYAGAIN timer is swallowed: the line never
         // transitions, which is exactly what the lease watchdog detects.
-        assert!(n.on_timeout(at, ep, generation).is_empty());
+        assert!(timeout(&mut n, at, ep, generation).is_empty());
         // Repair: unstick, drain the blocked queue for kernel-path
         // requeue, then retire the stalled waiter.
         let drained = n.repair_stuck_endpoint(ep);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].1.request_id, 5);
-        let acts = n.retire_endpoint(SimTime::from_us(2), ep);
+        let acts = retire(&mut n, SimTime::from_us(2), ep);
         let NicAction::CompleteFill { token, data, .. } = &acts[0] else {
             panic!("expected retire fill, got {acts:?}");
         };
@@ -2319,11 +2358,11 @@ mod tests {
     fn table_fault_is_fail_stop_until_reprogrammed() {
         let mut n = nic();
         let (_k0, lk0) = n.create_kernel_endpoint(0);
-        n.on_core_load(SimTime::ZERO, 0, FillToken(1), lk0.ctrl(0));
+        load(&mut n, SimTime::ZERO, 0, FillToken(1), lk0.ctrl(0));
         // nth wraps over the (single) registered service.
         assert_eq!(n.inject_table_fault(3), Some(1));
         assert_eq!(n.probe_health().corrupted_services, vec![1]);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(1, 1));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(1, 1));
         assert!(matches!(
             acts[0],
             NicAction::Dropped {
@@ -2338,7 +2377,7 @@ mod tests {
             .register_method(1, 0xAAAA, 0xBBBB, Signature::of(&[ArgType::U64]))
             .unwrap();
         assert!(n.probe_health().healthy());
-        let acts = n.on_request_frame(SimTime::from_us(2), &request_frame(2, 2));
+        let acts = rx(&mut n, SimTime::from_us(2), &request_frame(2, 2));
         assert!(acts
             .iter()
             .any(|a| matches!(a, NicAction::KernelDelivery { core: 0, .. })));
@@ -2367,7 +2406,7 @@ mod tests {
         // observations). Delivery must fall through to the queue, not
         // crash or drop.
         n.mirror.observe_poll(0, kep, true, SimTime::ZERO);
-        let acts = n.on_request_frame(SimTime::from_us(1), &request_frame(4, 4));
+        let acts = rx(&mut n, SimTime::from_us(1), &request_frame(4, 4));
         assert!(!acts
             .iter()
             .any(|a| matches!(a, NicAction::KernelDelivery { .. })));
@@ -2384,10 +2423,10 @@ mod tests {
         // parks and answers fills, but is invisible to dispatch (no
         // kernel_eps slot, no mirror view) rather than corrupting state.
         let (_k7, lk7) = n.create_kernel_endpoint(7);
-        let acts = n.on_core_load(SimTime::from_us(1), 7, FillToken(1), lk7.ctrl(0));
+        let acts = load(&mut n, SimTime::from_us(1), 7, FillToken(1), lk7.ctrl(0));
         assert!(matches!(acts[0], NicAction::ArmTimeout { .. }));
         assert!(n.mirror().kernel_pollers().is_empty());
-        let acts = n.on_request_frame(SimTime::from_us(2), &request_frame(6, 6));
+        let acts = rx(&mut n, SimTime::from_us(2), &request_frame(6, 6));
         assert_eq!(
             acts,
             vec![NicAction::Dropped {

@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 
+use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::{DrrScheduler, SimDuration, SimTime, TenancyConfig, TokenBucket};
 
 /// Fixed cost of the parse stage (header walk) in picoseconds.
@@ -56,9 +57,9 @@ fn stage_cost_ps(stage: usize, len: usize) -> u64 {
 /// A frame in flight through the staged pipeline.
 #[derive(Debug, Clone)]
 struct StagedFrame {
-    /// The raw wire bytes (re-parsed at dispatch exit; ingress already
-    /// validated the headers).
-    raw: Vec<u8>,
+    /// The raw wire bytes, shared with the sender (re-parsed at
+    /// dispatch exit; ingress already validated the headers).
+    raw: PktBuf,
     /// When the frame became available to its current stage.
     ready: SimTime,
 }
@@ -93,7 +94,7 @@ pub struct RateLimited;
 
 /// A frame leaving the dispatch stage: exit time, owning tenant, and
 /// the raw wire bytes.
-pub type PipelineExit = (SimTime, u16, Vec<u8>);
+pub type PipelineExit = (SimTime, u16, PktBuf);
 
 /// The per-tenant staged pipeline of the composed NIC.
 #[derive(Debug)]
@@ -156,7 +157,7 @@ impl TenantPipeline {
     /// Returns `Err(RateLimited)` when the tenant is over its
     /// contracted rate (the caller sheds the frame with
     /// `ShedReason::RateLimit`).
-    pub fn offer(&mut self, now: SimTime, tenant: u16, raw: Vec<u8>) -> Result<(), RateLimited> {
+    pub fn offer(&mut self, now: SimTime, tenant: u16, raw: PktBuf) -> Result<(), RateLimited> {
         let c = self.counters.entry(tenant).or_default();
         if let Some(b) = self.buckets.get_mut(&tenant) {
             if !b.take(now) {
@@ -175,11 +176,10 @@ impl TenantPipeline {
     /// Advances the pipeline to `now`: completes every stage service
     /// due by `now`, forwards frames to the next stage, and starts new
     /// services under DRR. Returns the frames that exited the dispatch
-    /// stage (with their exit times, in increasing order) and the next
-    /// instant the pipeline needs a pump, if any work remains in
-    /// service.
-    pub fn pump(&mut self, now: SimTime) -> (Vec<PipelineExit>, Option<SimTime>) {
-        let mut exits = Vec::new();
+    /// stage (with their exit times, in increasing order) by appending
+    /// them to `exits`, and returns the next instant the pipeline needs
+    /// a pump, if any work remains in service.
+    pub fn pump(&mut self, now: SimTime, exits: &mut Vec<PipelineExit>) -> Option<SimTime> {
         loop {
             let mut progressed = false;
             for s in 0..self.stages.len() {
@@ -223,13 +223,11 @@ impl TenantPipeline {
                 break;
             }
         }
-        let next = self
-            .stages
+        self.stages
             .iter()
             .filter(|s| s.in_service.is_some())
             .map(|s| s.busy_until)
-            .min();
-        (exits, next)
+            .min()
     }
 
     /// Exports per-tenant pipeline counters under
@@ -268,6 +266,16 @@ mod tests {
         TenantPipeline::new(TenancyConfig::enforcing(specs))
     }
 
+    fn frame(len: usize) -> PktBuf {
+        PktBuf::from_vec(vec![0u8; len])
+    }
+
+    fn pump(p: &mut TenantPipeline, now: SimTime) -> (Vec<PipelineExit>, Option<SimTime>) {
+        let mut exits = Vec::new();
+        let next = p.pump(now, &mut exits);
+        (exits, next)
+    }
+
     fn spec(tenant: u16, weight: u32) -> TenantSpec {
         TenantSpec::new(tenant, weight, SimDuration::from_us(500))
     }
@@ -276,15 +284,15 @@ mod tests {
     fn a_single_frame_crosses_all_three_stages() {
         let mut p = plan(vec![spec(0, 1)]);
         let t0 = SimTime::from_us(10);
-        p.offer(t0, 0, vec![0u8; 64]).expect("no rate limit");
-        let (exits, next) = p.pump(t0);
+        p.offer(t0, 0, frame(64)).expect("no rate limit");
+        let (exits, next) = pump(&mut p, t0);
         assert!(exits.is_empty(), "parse takes time");
         let wake = next.expect("in service");
         // Drive to completion through the wakes.
         let mut now = wake;
         let mut out = Vec::new();
         for _ in 0..8 {
-            let (mut e, n) = p.pump(now);
+            let (mut e, n) = pump(&mut p, now);
             out.append(&mut e);
             match n {
                 Some(t) => now = t,
@@ -312,15 +320,15 @@ mod tests {
         let mut p = plan(vec![spec(0, 1), spec(1, 1)]);
         let t0 = SimTime::from_us(1);
         for _ in 0..32 {
-            p.offer(t0, 0, vec![0u8; 4096]).expect("unlimited");
+            p.offer(t0, 0, frame(4096)).expect("unlimited");
         }
         for _ in 0..32 {
-            p.offer(t0, 1, vec![0u8; 64]).expect("unlimited");
+            p.offer(t0, 1, frame(64)).expect("unlimited");
         }
         let mut now = t0;
         let mut exits = Vec::new();
         loop {
-            let (mut e, n) = p.pump(now);
+            let (mut e, n) = pump(&mut p, now);
             exits.append(&mut e);
             match n {
                 Some(t) => now = t,
@@ -377,7 +385,7 @@ mod tests {
         let t0 = SimTime::from_us(5);
         let (mut ok, mut clipped) = (0, 0);
         for _ in 0..100 {
-            match p.offer(t0, 0, vec![0u8; 64]) {
+            match p.offer(t0, 0, frame(64)) {
                 Ok(()) => ok += 1,
                 Err(RateLimited) => clipped += 1,
             }
@@ -387,9 +395,7 @@ mod tests {
         assert_eq!(c.admitted, 4);
         assert_eq!(c.rate_limited, 96);
         // The limiter refills with time.
-        assert!(p
-            .offer(t0 + SimDuration::from_us(1), 0, vec![0u8; 64])
-            .is_ok());
+        assert!(p.offer(t0 + SimDuration::from_us(1), 0, frame(64)).is_ok());
     }
 
     #[test]
@@ -399,14 +405,14 @@ mod tests {
         let mut p = plan(vec![spec(0, 1), spec(1, 3)]);
         let t0 = SimTime::ZERO;
         for _ in 0..300 {
-            p.offer(t0, 0, vec![0u8; 256]).expect("unlimited");
-            p.offer(t0, 1, vec![0u8; 256]).expect("unlimited");
+            p.offer(t0, 0, frame(256)).expect("unlimited");
+            p.offer(t0, 1, frame(256)).expect("unlimited");
         }
         let mut now = t0;
         let mut served = [0u64; 2];
         // Pump until 200 frames exited, then look at the split.
         'outer: loop {
-            let (e, n) = p.pump(now);
+            let (e, n) = pump(&mut p, now);
             for (_, t, _) in e {
                 served[t as usize] += 1;
                 if served[0] + served[1] >= 200 {
@@ -429,10 +435,10 @@ mod tests {
     fn exports_per_tenant_counters() {
         let mut p = plan(vec![spec(3, 1).with_rate(1_000_000, 1)]);
         let t0 = SimTime::from_us(1);
-        p.offer(t0, 3, vec![0u8; 64]).expect("burst of one");
-        assert!(p.offer(t0, 3, vec![0u8; 64]).is_err());
+        p.offer(t0, 3, frame(64)).expect("burst of one");
+        assert!(p.offer(t0, 3, frame(64)).is_err());
         let mut now = t0;
-        while let (_, Some(t)) = p.pump(now) {
+        while let (_, Some(t)) = pump(&mut p, now) {
             now = t;
         }
         let mut reg = lauberhorn_sim::MetricsRegistry::new();

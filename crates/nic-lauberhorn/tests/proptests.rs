@@ -157,7 +157,8 @@ fn endpoint_protocol_holds_invariants() {
                         next_token += 1;
                         outstanding_tokens.insert(token.0);
                         core = CoreState::Waiting(p);
-                        let fx = ep.on_load(LineRole::Control(p), token, SimTime::ZERO);
+                        let mut fx = Vec::new();
+                        ep.on_load(LineRole::Control(p), token, SimTime::ZERO, &mut fx);
                         apply(
                             fx,
                             &mut core,
@@ -177,7 +178,8 @@ fn endpoint_protocol_holds_invariants() {
                         next_token += 1;
                         outstanding_tokens.insert(token.0);
                         core = CoreState::Waiting(other);
-                        let fx = ep.on_load(LineRole::Control(other), token, SimTime::ZERO);
+                        let mut fx = Vec::new();
+                        ep.on_load(LineRole::Control(other), token, SimTime::ZERO, &mut fx);
                         apply(
                             fx,
                             &mut core,
@@ -194,8 +196,9 @@ fn endpoint_protocol_holds_invariants() {
                     let (line, ctx) = rpc(next_req);
                     next_req += 1;
                     injected += 1;
-                    match ep.on_request(line, ctx, SimTime::ZERO) {
-                        RequestOutcome::DeliveredToParked(fx) => {
+                    let mut fx = Vec::new();
+                    match ep.on_request(line, ctx, SimTime::ZERO, &mut fx) {
+                        RequestOutcome::DeliveredToParked => {
                             apply(
                                 fx,
                                 &mut core,
@@ -207,12 +210,13 @@ fn endpoint_protocol_holds_invariants() {
                             );
                         }
                         RequestOutcome::Queued { .. } => {}
-                        RequestOutcome::Rejected => rejected += 1,
+                        RequestOutcome::Rejected(..) => rejected += 1,
                     }
                 }
                 Step::Timeout => {
                     if let Some(g) = armed_gen.take() {
-                        let fx = ep.on_timeout(g);
+                        let mut fx = Vec::new();
+                        ep.on_timeout(g, &mut fx);
                         apply(
                             fx,
                             &mut core,
@@ -225,7 +229,8 @@ fn endpoint_protocol_holds_invariants() {
                     }
                 }
                 Step::Retire => {
-                    let fx = ep.retire();
+                    let mut fx = Vec::new();
+                    ep.retire(&mut fx);
                     apply(
                         fx,
                         &mut core,

@@ -1,4 +1,4 @@
-//! Reference-counted packet buffers with a recycling pool.
+//! Reference-counted packet buffers.
 //!
 //! Every simulated frame used to be a bare `Vec<u8>` that was cloned
 //! at each hop: the client driver kept one copy for retransmission,
@@ -12,12 +12,6 @@
 //! through [`PktBuf::make_mut`], which is copy-on-write: the clean
 //! path never copies, and a corrupted retransmission never disturbs
 //! the pristine copy held for later retries.
-//!
-//! [`BufPool`] recycles the backing allocations of buffers that drop
-//! to a single owner, so steady-state simulation reuses a small ring
-//! of allocations instead of hitting the allocator per frame. The
-//! pool is deterministic: it is a plain LIFO of storage, carries no
-//! addresses or clocks, and affects only *where* bytes live.
 //!
 //! `Arc` (not `Rc`) so stacks owning buffers can move across the
 //! parallel sweep's worker threads.
@@ -60,12 +54,6 @@ impl PktBuf {
     pub fn ref_count(&self) -> usize {
         Arc::strong_count(&self.0)
     }
-
-    /// Reclaims the backing storage if this handle is the last owner,
-    /// for recycling through a [`BufPool`].
-    fn into_storage(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.0).ok()
-    }
 }
 
 impl Deref for PktBuf {
@@ -95,49 +83,6 @@ impl PartialEq for PktBuf {
 }
 
 impl Eq for PktBuf {}
-
-/// A LIFO pool of backing allocations for [`PktBuf`].
-///
-/// `take` hands out a cleared-but-capacitated `Vec<u8>`; `recycle`
-/// returns a buffer's storage to the pool when no other handle still
-/// references it. Bounded so a burst cannot pin memory forever.
-#[derive(Debug, Default)]
-pub struct BufPool {
-    spare: Vec<Vec<u8>>,
-    cap: usize,
-}
-
-impl BufPool {
-    /// A pool retaining at most `cap` spare allocations.
-    pub fn new(cap: usize) -> Self {
-        BufPool {
-            spare: Vec::new(),
-            cap,
-        }
-    }
-
-    /// An empty vector with recycled capacity when available.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Returns `buf`'s storage to the pool if this was the last
-    /// handle; shared buffers are simply dropped.
-    pub fn recycle(&mut self, buf: PktBuf) {
-        if self.spare.len() >= self.cap {
-            return;
-        }
-        if let Some(mut v) = buf.into_storage() {
-            v.clear();
-            self.spare.push(v);
-        }
-    }
-
-    /// Spare allocations currently held.
-    pub fn spare_count(&self) -> usize {
-        self.spare.len()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -172,28 +117,5 @@ mod tests {
         a.make_mut().extend_from_slice(&[7; 10]);
         assert_eq!(a.make_mut().capacity(), cap, "no reallocation");
         assert_eq!(a.len(), 10);
-    }
-
-    #[test]
-    fn pool_recycles_last_owner_only() {
-        let mut pool = BufPool::new(4);
-        let a = PktBuf::from_vec(vec![0; 128]);
-        let b = a.clone();
-        pool.recycle(a); // Shared: dropped, not pooled.
-        assert_eq!(pool.spare_count(), 0);
-        pool.recycle(b); // Last owner: storage reclaimed.
-        assert_eq!(pool.spare_count(), 1);
-        let v = pool.take();
-        assert!(v.is_empty());
-        assert!(v.capacity() >= 128);
-    }
-
-    #[test]
-    fn pool_is_bounded() {
-        let mut pool = BufPool::new(2);
-        for _ in 0..5 {
-            pool.recycle(PktBuf::from_vec(vec![0; 8]));
-        }
-        assert_eq!(pool.spare_count(), 2);
     }
 }

@@ -73,12 +73,37 @@ pub fn build_udp_frame(
     payload: &[u8],
     ident: u16,
 ) -> Result<Vec<u8>> {
-    let udp = UdpHeader::for_payload(src.port, dst.port, payload.len())?;
+    let mut buf = vec![0u8; FRAME_OVERHEAD + payload.len()];
+    buf[FRAME_OVERHEAD..].copy_from_slice(payload);
+    write_udp_headers(src, dst, ident, &mut buf)?;
+    Ok(buf)
+}
+
+/// Writes the Ethernet, IPv4 and UDP headers (checksums included) into
+/// the first [`FRAME_OVERHEAD`] bytes of `frame`, whose remainder
+/// already holds the UDP payload. Lets a sender build its payload in
+/// place and produce the frame in one buffer;
+/// [`build_udp_frame`] is this plus a copy of the payload.
+pub fn write_udp_headers(
+    src: EndpointAddr,
+    dst: EndpointAddr,
+    ident: u16,
+    frame: &mut [u8],
+) -> Result<()> {
+    let payload_len = frame
+        .len()
+        .checked_sub(FRAME_OVERHEAD)
+        .ok_or(PacketError::Truncated {
+            layer: "frame",
+            need: FRAME_OVERHEAD,
+            have: frame.len(),
+        })?;
+    let udp = UdpHeader::for_payload(src.port, dst.port, payload_len)?;
     let ip = Ipv4Header::for_payload(
         src.ip,
         dst.ip,
         PROTO_UDP,
-        UDP_HEADER_LEN + payload.len(),
+        UDP_HEADER_LEN + payload_len,
         ident,
     )?;
     let eth = EthernetHeader {
@@ -86,12 +111,10 @@ pub fn build_udp_frame(
         src: src.mac,
         ethertype: EtherType::Ipv4,
     };
-    let mut buf = vec![0u8; FRAME_OVERHEAD + payload.len()];
-    let mut off = eth.write(&mut buf)?;
-    off += ip.write(&mut buf[off..])?;
-    buf[off + UDP_HEADER_LEN..].copy_from_slice(payload);
-    udp.write(src.ip, dst.ip, &mut buf[off..])?;
-    Ok(buf)
+    let mut off = eth.write(frame)?;
+    off += ip.write(&mut frame[off..])?;
+    udp.write(src.ip, dst.ip, &mut frame[off..])?;
+    Ok(())
 }
 
 /// A parsed UDP frame whose payload borrows the input buffer.

@@ -29,7 +29,7 @@ pub mod marshal;
 pub mod rpcwire;
 pub mod udp;
 
-pub use buf::{BufPool, PktBuf};
+pub use buf::PktBuf;
 pub use eth::{EtherType, EthernetHeader, MacAddr};
 pub use frame::{build_udp_frame, parse_udp_frame, parse_udp_frame_ref, UdpFrame, UdpFrameRef};
 pub use ipv4::Ipv4Header;

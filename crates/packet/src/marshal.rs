@@ -235,6 +235,30 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes `put_varint` writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+impl VarintCodec {
+    /// Appends the wire form of one length-delimited argument (`Bytes`
+    /// or `Str` contents) at 0-based position `index` to `out`: exactly
+    /// the bytes [`Codec::encode`] writes for it, without building a
+    /// [`Value`]. Lets a sender marshal a payload straight into a
+    /// frame buffer.
+    pub fn put_blob(out: &mut Vec<u8>, index: usize, blob: &[u8]) {
+        put_varint(out, (index as u64 + 1) << 3 | WIRE_LEN);
+        put_varint(out, blob.len() as u64);
+        out.extend_from_slice(blob);
+    }
+
+    /// Length of what [`VarintCodec::put_blob`] appends for a
+    /// `len`-byte blob at position `index`.
+    pub fn blob_len(index: usize, len: usize) -> usize {
+        varint_len((index as u64 + 1) << 3 | WIRE_LEN) + varint_len(len as u64) + len
+    }
+}
+
 fn get_varint(data: &[u8], off: &mut usize) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -286,16 +310,8 @@ impl Codec for VarintCodec {
                     put_varint(&mut out, field << 3 | WIRE_VARINT);
                     put_varint(&mut out, *b as u64);
                 }
-                Value::Bytes(b) => {
-                    put_varint(&mut out, field << 3 | WIRE_LEN);
-                    put_varint(&mut out, b.len() as u64);
-                    out.extend_from_slice(b);
-                }
-                Value::Str(s) => {
-                    put_varint(&mut out, field << 3 | WIRE_LEN);
-                    put_varint(&mut out, s.len() as u64);
-                    out.extend_from_slice(s.as_bytes());
-                }
+                Value::Bytes(b) => Self::put_blob(&mut out, i, b),
+                Value::Str(s) => Self::put_blob(&mut out, i, s.as_bytes()),
             }
         }
         Ok(out)
@@ -381,9 +397,84 @@ impl Codec for VarintCodec {
 /// Transforms a varint-encoded payload into the fixed dispatch form —
 /// the operation the Lauberhorn deserialization offload performs in
 /// hardware (§5.1).
+///
+/// One pass over the wire bytes, writing straight into the result:
+/// equivalent to `FixedCodec.encode(sig, &VarintCodec.decode(sig, wire)?)`
+/// (same bytes on success, an error exactly when that fails) without
+/// the intermediate [`Value`]s. The result is sized once up front, so
+/// this allocates exactly one buffer.
 pub fn transform_to_dispatch_form(sig: &Signature, wire: &[u8]) -> Result<Vec<u8>> {
-    let values = VarintCodec.decode(sig, wire)?;
-    FixedCodec.encode(sig, &values)
+    // A fixed-form argument is at most 6 bytes longer than its wire
+    // form: a scalar takes at least 2 wire bytes (tag + varint) and 8
+    // fixed ones; a blob trades ≥ 2 bytes of tag and length for a
+    // 4-byte length.
+    let mut out = Vec::with_capacity(wire.len() + 6 * sig.arity());
+    let mut off = 0usize;
+    for (i, t) in sig.0.iter().enumerate() {
+        let tag = get_varint(wire, &mut off)?;
+        if tag >> 3 != (i + 1) as u64 {
+            return Err(PacketError::BadField {
+                layer: "marshal",
+                field: "field_number",
+            });
+        }
+        let wire_type = tag & 0x7;
+        match t {
+            ArgType::U64 | ArgType::I64 | ArgType::Bool => {
+                if wire_type != WIRE_VARINT {
+                    return Err(PacketError::BadField {
+                        layer: "marshal",
+                        field: "wire_type",
+                    });
+                }
+                let raw = get_varint(wire, &mut off)?;
+                match t {
+                    ArgType::I64 => out.extend_from_slice(&unzigzag(raw).to_le_bytes()),
+                    ArgType::Bool if raw > 1 => {
+                        return Err(PacketError::BadField {
+                            layer: "marshal",
+                            field: "bool",
+                        })
+                    }
+                    ArgType::Bool => out.push(raw as u8),
+                    _ => out.extend_from_slice(&raw.to_le_bytes()),
+                }
+            }
+            ArgType::Bytes | ArgType::Str => {
+                if wire_type != WIRE_LEN {
+                    return Err(PacketError::BadField {
+                        layer: "marshal",
+                        field: "wire_type",
+                    });
+                }
+                let len = get_varint(wire, &mut off)? as usize;
+                let blob = off
+                    .checked_add(len)
+                    .and_then(|end| wire.get(off..end))
+                    .ok_or(PacketError::Truncated {
+                        layer: "marshal",
+                        need: off.saturating_add(len),
+                        have: wire.len(),
+                    })?;
+                if *t == ArgType::Str && std::str::from_utf8(blob).is_err() {
+                    return Err(PacketError::BadField {
+                        layer: "marshal",
+                        field: "utf8",
+                    });
+                }
+                off += len;
+                out.extend_from_slice(&(len as u32).to_le_bytes());
+                out.extend_from_slice(blob);
+            }
+        }
+    }
+    if off != wire.len() {
+        return Err(PacketError::BadField {
+            layer: "marshal",
+            field: "trailing",
+        });
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -407,6 +498,21 @@ mod tests {
                 Value::Str("lauberhorn".into()),
             ],
         )
+    }
+
+    #[test]
+    fn blob_len_matches_what_put_blob_writes() {
+        for index in [0, 1, 14, 15, 200] {
+            for len in [0, 1, 127, 128, 16_383, 16_384, 57_344] {
+                let mut out = Vec::new();
+                VarintCodec::put_blob(&mut out, index, &vec![7; len]);
+                assert_eq!(
+                    out.len(),
+                    VarintCodec::blob_len(index, len),
+                    "{index}/{len}"
+                );
+            }
+        }
     }
 
     #[test]

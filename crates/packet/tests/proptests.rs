@@ -86,17 +86,76 @@ fn varint_codec_round_trips() {
     }
 }
 
+/// The deserialization offload's reference semantics: decode the wire
+/// form to values, then encode them in dispatch form.
+fn software_transform(sig: &Signature, wire: &[u8]) -> lauberhorn_packet::Result<Vec<u8>> {
+    FixedCodec.encode(sig, &VarintCodec.decode(sig, wire)?)
+}
+
+fn arb_signature(rng: &mut TestRng) -> Signature {
+    let n = rng.below(6) as usize;
+    Signature(
+        (0..n)
+            .map(|_| match rng.below(5) {
+                0 => ArgType::U64,
+                1 => ArgType::I64,
+                2 => ArgType::Bool,
+                3 => ArgType::Bytes,
+                _ => ArgType::Str,
+            })
+            .collect(),
+    )
+}
+
 #[test]
 fn nic_transform_equals_software_path() {
+    use lauberhorn_packet::marshal::transform_to_dispatch_form;
     for case in 0..256 {
         let mut rng = TestRng::new(2000 + case);
         let args = arb_args(&mut rng);
-        // The deserialization offload must agree with decode+encode.
+        // The single-pass offload must produce exactly decode+encode's
+        // bytes on every well-formed payload.
         let sig = signature_of(&args);
         let wire = VarintCodec.encode(&sig, &args).unwrap();
-        let transformed =
-            lauberhorn_packet::marshal::transform_to_dispatch_form(&sig, &wire).unwrap();
+        let transformed = transform_to_dispatch_form(&sig, &wire).unwrap();
+        assert_eq!(transformed, software_transform(&sig, &wire).unwrap());
         assert_eq!(transformed, FixedCodec.encode(&sig, &args).unwrap());
+        // On damaged payloads it must fail exactly when decode+encode
+        // does (the NIC's `Malformed` drops feed the report digest), and
+        // agree byte for byte whenever both succeed: truncations ...
+        for cut in 0..wire.len() {
+            let short = &wire[..cut];
+            match (
+                transform_to_dispatch_form(&sig, short),
+                software_transform(&sig, short),
+            ) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}, cut {cut}"),
+                (a, b) => assert_eq!(a.is_ok(), b.is_ok(), "case {case}, cut {cut}"),
+            }
+        }
+        // ... single bit flips ...
+        for _ in 0..32 {
+            if wire.is_empty() {
+                break;
+            }
+            let mut flipped = wire.clone();
+            let byte = rng.below(flipped.len() as u64) as usize;
+            flipped[byte] ^= 1 << rng.below(8);
+            match (
+                transform_to_dispatch_form(&sig, &flipped),
+                software_transform(&sig, &flipped),
+            ) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}, flip in byte {byte}"),
+                (a, b) => assert_eq!(a.is_ok(), b.is_ok(), "case {case}, flip in byte {byte}"),
+            }
+        }
+        // ... and an unrelated signature over the same bytes.
+        let other = arb_signature(&mut rng);
+        assert_eq!(
+            transform_to_dispatch_form(&other, &wire).ok(),
+            software_transform(&other, &wire).ok(),
+            "case {case}, signature {other:?}"
+        );
     }
 }
 

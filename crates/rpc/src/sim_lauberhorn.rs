@@ -21,7 +21,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lauberhorn_coherence::{CacheId, CoherentSystem, FabricModel, LineAddr, LoadResult};
+use lauberhorn_coherence::{
+    CacheId, CoherentSystem, FabricModel, FillToken, LineAddr, LineData, LoadResult,
+};
 use lauberhorn_nic::demux::DemuxError;
 use lauberhorn_nic::dispatch::DispatchKind;
 use lauberhorn_nic::endpoint::{EndpointId, EndpointLayout};
@@ -30,7 +32,8 @@ use lauberhorn_nic::sched_mirror::MIRROR_PUSH_COST;
 use lauberhorn_nic::{LauberhornNic, LauberhornNicConfig, NicAction};
 use lauberhorn_os::health::{ShadowRegistry, Watchdog};
 use lauberhorn_os::{CostModel, ProcessId};
-use lauberhorn_packet::frame::EndpointAddr;
+use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
+use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::fault::{FaultDecision, NicFaultKind, NicFaultSpec};
@@ -120,20 +123,16 @@ enum Ev {
     /// with the driver's retransmit copy (zero-copy delivery).
     FrameAtNic { raw: PktBuf, request_id: u64 },
     /// The NIC answers a parked fill (deferred CompleteFill action).
-    DoCompleteFill {
-        token: lauberhorn_coherence::FillToken,
-        data: Vec<u8>,
-    },
-    /// A fill response lands at the core.
-    FillAtCore {
-        core: usize,
-        addr: LineAddr,
-        data: Vec<u8>,
-    },
+    /// The line it answers with is staged on the coherence system's
+    /// pending fill, not carried here (see the size check below).
+    DoCompleteFill { token: FillToken },
+    /// A fill response lands at the core, which reads the line the
+    /// fill just installed.
+    FillAtCore { core: usize, addr: LineAddr },
     /// The NIC observes a core's load (request message arrived).
     NicSeesLoad {
         core: usize,
-        token: lauberhorn_coherence::FillToken,
+        token: FillToken,
         addr: LineAddr,
     },
     /// A TRYAGAIN timer fires.
@@ -229,7 +228,7 @@ pub struct LauberhornSim {
     /// Frames held by link-level flow control while the NIC is down.
     nic_backlog: Vec<(PktBuf, u64)>,
     /// Core loads the downed NIC has not yet observed.
-    held_loads: Vec<(usize, lauberhorn_coherence::FillToken, LineAddr)>,
+    held_loads: Vec<(usize, FillToken, LineAddr)>,
     /// Cores whose next park is deferred until the NIC is back.
     held_cores: Vec<usize>,
     recovery: RecoveryCounters,
@@ -237,6 +236,9 @@ pub struct LauberhornSim {
     /// tenant pipeline asks for a pump on every ingress and every
     /// stage completion, and scheduling each would flood the queue.
     next_pump: Option<SimTime>,
+    /// The NIC's output buffer, reused by every call into the NIC
+    /// ([`LauberhornSim::drive_nic`]); empty between calls.
+    actions: Vec<NicAction>,
 }
 
 impl LauberhornSim {
@@ -331,6 +333,7 @@ impl LauberhornSim {
             held_cores: Vec::new(),
             recovery: RecoveryCounters::default(),
             next_pump: None,
+            actions: Vec::new(),
             cfg,
         }
     }
@@ -389,8 +392,21 @@ impl LauberhornSim {
         }
     }
 
-    fn apply_actions(&mut self, actions: Vec<NicAction>, now: SimTime) {
-        for a in actions {
+    /// Calls into the NIC with the reused output buffer and applies
+    /// the actions it emits.
+    fn drive_nic(
+        &mut self,
+        now: SimTime,
+        call: impl FnOnce(&mut LauberhornNic, &mut Vec<NicAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        call(&mut self.nic, &mut actions);
+        self.apply_actions(&mut actions, now);
+        self.actions = actions;
+    }
+
+    fn apply_actions(&mut self, actions: &mut Vec<NicAction>, now: SimTime) {
+        for a in actions.drain(..) {
             match a {
                 NicAction::CompleteFill { token, data, at } => {
                     self.schedule_fill(token, data, at);
@@ -467,20 +483,19 @@ impl LauberhornSim {
     /// as a delivery delayed by the recovery spike. A duplicated fill
     /// arrives twice; the second copy hits a consumed token and is
     /// absorbed by the protocol (counted in `fill_faults`).
-    fn schedule_fill(
-        &mut self,
-        token: lauberhorn_coherence::FillToken,
-        data: Vec<u8>,
-        at: SimTime,
-    ) {
+    ///
+    /// The line is staged on the pending fill right away; the event
+    /// only carries the token.
+    fn schedule_fill(&mut self, token: FillToken, data: LineData, at: SimTime) {
+        self.coh.stage_fill(token, data);
         let Some(inj) = self.common.fill_fault.as_mut() else {
-            self.q.schedule(at, Ev::DoCompleteFill { token, data });
+            self.q.schedule(at, Ev::DoCompleteFill { token });
             return;
         };
         let spike = inj.spec().spike;
         match inj.decide_frame(data.len(), 0) {
             FaultDecision::Deliver => {
-                self.q.schedule(at, Ev::DoCompleteFill { token, data });
+                self.q.schedule(at, Ev::DoCompleteFill { token });
             }
             FaultDecision::Drop | FaultDecision::Corrupt { .. } => {
                 self.common.metrics.faults.fill_faults += 1;
@@ -490,8 +505,7 @@ impl LauberhornSim {
                     "fault.fill",
                     "fill for {token:?} lost; fabric retry after {spike:?}"
                 );
-                self.q
-                    .schedule(at + spike, Ev::DoCompleteFill { token, data });
+                self.q.schedule(at + spike, Ev::DoCompleteFill { token });
             }
             FaultDecision::Duplicate { gap } => {
                 self.common.metrics.faults.fill_faults += 1;
@@ -501,15 +515,8 @@ impl LauberhornSim {
                     "fault.fill",
                     "fill for {token:?} duplicated"
                 );
-                self.q.schedule(
-                    at,
-                    Ev::DoCompleteFill {
-                        token,
-                        data: data.clone(),
-                    },
-                );
-                self.q
-                    .schedule(at + gap, Ev::DoCompleteFill { token, data });
+                self.q.schedule(at, Ev::DoCompleteFill { token });
+                self.q.schedule(at + gap, Ev::DoCompleteFill { token });
             }
             FaultDecision::Delay { extra } => {
                 self.common.metrics.faults.fill_faults += 1;
@@ -519,8 +526,7 @@ impl LauberhornSim {
                     "fault.fill",
                     "fill for {token:?} delayed by {extra:?}"
                 );
-                self.q
-                    .schedule(at + extra, Ev::DoCompleteFill { token, data });
+                self.q.schedule(at + extra, Ev::DoCompleteFill { token });
             }
         }
     }
@@ -653,7 +659,10 @@ impl LauberhornSim {
         (kind, request_id, n_aux, arg_len, service)
     }
 
-    fn on_fill_at_core(&mut self, core: usize, addr: LineAddr, data: Vec<u8>, now: SimTime) {
+    fn on_fill_at_core(&mut self, core: usize, addr: LineAddr, now: SimTime) {
+        // The core holds the line it was just granted: nothing else
+        // writes it before the core itself stores its response.
+        let data = self.coh.line_data(addr);
         if let Some(slot) = self.park_spans.get_mut(core) {
             let id = std::mem::replace(slot, SpanId::NONE);
             self.common.tracer.end(id, now);
@@ -845,19 +854,6 @@ impl LauberhornSim {
                 return;
             }
         };
-        let payload = self
-            .common
-            .request(request_id)
-            .and_then(|r| r.resp_payload.as_ref());
-        let resp: Vec<u8> = match payload {
-            Some(r) => r.clone(),
-            None => {
-                let resp_len = self.spec_of(service).response_bytes;
-                (0..resp_len.min(self.coh.line_size()))
-                    .map(|i| (request_id as u8).wrapping_add(i as u8))
-                    .collect()
-            }
-        };
         let end = self.charge(core, now, 15, Some(request_id)); // Store + fence.
         if self.common.tracer.is_enabled() {
             let root = self.common.root_span(request_id);
@@ -883,7 +879,24 @@ impl LauberhornSim {
                 end,
             );
         }
-        if self.coh.store(CacheId(core), addr, &resp).is_err() {
+        // The handler's own response bytes when it produced some,
+        // otherwise a synthetic response of the service's size.
+        let stored = match self
+            .common
+            .request(request_id)
+            .and_then(|r| r.resp_payload.as_deref())
+        {
+            Some(resp) => self.coh.store(CacheId(core), addr, resp),
+            None => {
+                let len = self.spec_of(service).response_bytes;
+                let mut resp = LineData::zeroed(len.min(self.coh.line_size()));
+                for (i, b) in resp.iter_mut().enumerate() {
+                    *b = (request_id as u8).wrapping_add(i as u8);
+                }
+                self.coh.store(CacheId(core), addr, &resp)
+            }
+        };
+        if stored.is_err() {
             debug_assert!(false, "core holds the line exclusive");
         }
         self.q.schedule(end, Ev::IssueLoad { core });
@@ -921,16 +934,9 @@ impl LauberhornSim {
                 lauberhorn_nic::bytes::slice(&data, 0, resp_len).to_vec(),
             ));
         }
-        let payload = lauberhorn_nic::bytes::slice(&data, 0, resp_len);
-        let frame = match self.nic.build_response_frame(&ctx, payload) {
-            Ok(frame) => frame,
-            Err(_) => {
-                // Response too large for a UDP datagram: drop it; the
-                // client's retry budget (if any) decides the outcome.
-                self.common.drop_request(ctx.request_id, now);
-                return;
-            }
-        };
+        // The response frame only crosses the wire model, which needs
+        // its length: headers plus at most one line of payload.
+        let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + resp_len;
         let tx_time = now + lat;
         if let Some(r) = self.common.request_mut(ctx.request_id) {
             r.times.response_tx = tx_time;
@@ -944,7 +950,7 @@ impl LauberhornSim {
             now,
             tx_time,
         );
-        let arrive = tx_time + self.common.wire.deliver(frame.len());
+        let arrive = tx_time + self.common.wire.deliver(frame_len);
         self.common.complete(arrive, ctx.request_id);
     }
 
@@ -1005,8 +1011,7 @@ impl LauberhornSim {
                 "request {} requeued to kernel endpoint",
                 ctx.request_id
             );
-            let actions = self.nic.redeliver_to_kernel(now, line, ctx);
-            self.apply_actions(actions, now);
+            self.drive_nic(now, |nic, out| nic.redeliver_to_kernel(now, line, ctx, out));
         }
         for &core in &victims {
             if let Some(rid) = self.ctx_mut(core).cur_req.take() {
@@ -1028,8 +1033,7 @@ impl LauberhornSim {
                 // process's CONTROL line: the NIC retires the orphaned
                 // state, which funnels the core back to the kernel
                 // loop through the normal RETIRE path.
-                let actions = self.nic.retire_endpoint(now, ep);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.retire_endpoint(now, ep, out));
             }
             self.user_eps.remove(&(service, core));
             self.common.metrics.faults.crashes_recovered += 1;
@@ -1190,13 +1194,11 @@ impl LauberhornSim {
             let drained = self.nic.repair_stuck_endpoint(ep);
             for (line, ctx) in drained {
                 self.recovery.requeued_kernel += 1;
-                let actions = self.nic.redeliver_to_kernel(now, line, ctx);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.redeliver_to_kernel(now, line, ctx, out));
             }
             // Unblock the stalled waiter: it falls back to the kernel
             // dispatch loop through the normal RETIRE path.
-            let actions = self.nic.retire_endpoint(now, ep);
-            self.apply_actions(actions, now);
+            self.drive_nic(now, |nic, out| nic.retire_endpoint(now, ep, out));
         }
         if health.mirror_desynced {
             self.repush_sched_state(now);
@@ -1223,11 +1225,10 @@ impl LauberhornSim {
         let line_size = self.coh.line_size();
         let retire = lauberhorn_nic::dispatch::DispatchLine::retire()
             .encode(line_size)
-            .map(|(ctrl, _)| ctrl)
-            .unwrap_or_else(|_| vec![0; line_size]);
+            .unwrap_or(LineData::zeroed(line_size));
         for (_, token) in &salvage.parked {
             self.recovery.retired_fills += 1;
-            self.schedule_fill(*token, retire.clone(), now);
+            self.schedule_fill(*token, retire, now);
         }
         let entries = self.shadow.entry_count();
         let dur = self
@@ -1296,8 +1297,7 @@ impl LauberhornSim {
         // loss).
         for (line, ctx) in salvage.orphans {
             self.recovery.requeued_kernel += 1;
-            let actions = self.nic.redeliver_to_kernel(now, line, ctx);
-            self.apply_actions(actions, now);
+            self.drive_nic(now, |nic, out| nic.redeliver_to_kernel(now, line, ctx, out));
         }
         // 6. Release the cores and loads frozen by the reset.
         for core in std::mem::take(&mut self.held_cores) {
@@ -1475,17 +1475,15 @@ impl ServerStack for LauberhornSim {
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
                     return;
                 }
-                let actions = self.nic.on_request_frame(now, &raw);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.on_request_frame(now, &raw, out));
             }
-            Ev::DoCompleteFill { token, data } => match self.coh.complete_fill(token, &data) {
+            Ev::DoCompleteFill { token } => match self.coh.complete_staged_fill(token) {
                 Ok((cache, addr, lat)) => {
                     self.q.schedule(
                         now + lat,
                         Ev::FillAtCore {
                             core: cache.0,
                             addr,
-                            data,
                         },
                     );
                 }
@@ -1497,8 +1495,8 @@ impl ServerStack for LauberhornSim {
                     let _ = e;
                 }
             },
-            Ev::FillAtCore { core, addr, data } => {
-                self.on_fill_at_core(core, addr, data, now);
+            Ev::FillAtCore { core, addr } => {
+                self.on_fill_at_core(core, addr, now);
             }
             Ev::NicSeesLoad { core, token, addr } => {
                 // A dead device cannot observe loads; the core's fill
@@ -1507,12 +1505,12 @@ impl ServerStack for LauberhornSim {
                     self.held_loads.push((core, token, addr));
                     return;
                 }
-                let actions = self.nic.on_core_load(now, core, token, addr);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| {
+                    nic.on_core_load(now, core, token, addr, out)
+                });
             }
             Ev::Timeout { ep, generation } => {
-                let actions = self.nic.on_timeout(now, ep, generation);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.on_timeout(now, ep, generation, out));
             }
             Ev::HandlerDone { core, request_id } => {
                 // A crash killed this handler mid-request: the process
@@ -1556,15 +1554,13 @@ impl ServerStack for LauberhornSim {
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
                     return;
                 }
-                let actions = self.nic.on_request_frame(now, &raw);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.on_request_frame(now, &raw, out));
             }
             Ev::PipelinePump => {
                 if self.next_pump == Some(now) {
                     self.next_pump = None;
                 }
-                let actions = self.nic.pump_tenancy(now);
-                self.apply_actions(actions, now);
+                self.drive_nic(now, |nic, out| nic.pump_tenancy(now, out));
             }
             Ev::Preempt { core } => {
                 // Kernel + NIC cooperate (§5.1): IPI the core, then
@@ -1573,8 +1569,7 @@ impl ServerStack for LauberhornSim {
                 // the IPI cost is charged when the core transitions.
                 if let LoopMode::User { .. } = self.ctx(core).mode {
                     if let Some((_, ep, _)) = self.ctx(core).user_ep {
-                        let actions = self.nic.retire_endpoint(now, ep);
-                        self.apply_actions(actions, now);
+                        self.drive_nic(now, |nic, out| nic.retire_endpoint(now, ep, out));
                     }
                 }
             }
@@ -1619,5 +1614,23 @@ impl ServerStack for LauberhornSim {
             );
         }
         (total, coh_stats.fabric_messages())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_carry_no_line_bytes() {
+        // The queue holds about one stale TRYAGAIN timer per recent
+        // request (each outlives its request by the 15 ms window), so
+        // the event size sets this stack's peak heap: line bytes are
+        // staged on the coherence system's pending fill, never in `Ev`.
+        assert!(
+            std::mem::size_of::<Ev>() <= 48,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
     }
 }

@@ -6,9 +6,9 @@
 //! The wire adds a configurable one-way latency plus serialization at
 //! line rate.
 
-use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_packet::marshal::{Codec, Signature, Value, VarintCodec};
-use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind};
+use lauberhorn_packet::frame::{write_udp_headers, EndpointAddr, FRAME_OVERHEAD};
+use lauberhorn_packet::marshal::VarintCodec;
+use lauberhorn_packet::{parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind, RPC_HEADER_LEN};
 use lauberhorn_sim::{SimDuration, SimTime};
 
 /// The network between client and server.
@@ -114,6 +114,10 @@ impl RetryPolicy {
 /// signature. The frame is built exactly once into a [`PktBuf`];
 /// every later holder (retransmit buffer, stack event queue, fault
 /// duplicates) shares it by reference count.
+///
+/// The marshalled argument, the RPC header and the Ethernet/IPv4/UDP
+/// headers are written straight into one buffer, sized once: the
+/// frame and its reference count are the only allocations.
 pub fn build_request(
     client: EndpointAddr,
     server: EndpointAddr,
@@ -123,31 +127,29 @@ pub fn build_request(
     payload: &[u8],
     cont_hint: u32,
 ) -> PktBuf {
-    let sig = Signature::of(&[lauberhorn_packet::marshal::ArgType::Bytes]);
-    // A single Bytes argument always encodes; degrade to an empty frame
-    // (which the server-side checksum/parse path rejects) rather than
-    // panic if any of these infallible steps ever fails.
-    let args = match VarintCodec.encode(&sig, &[Value::Bytes(payload.to_vec())]) {
-        Ok(a) => a,
-        Err(_) => {
-            debug_assert!(false, "bytes arg always encodes");
-            return PktBuf::default();
-        }
-    };
+    // `[Bytes]` marshals to one length-delimited blob in position 0.
+    let args_len = VarintCodec::blob_len(0, payload.len());
     let header = RpcHeader {
         kind: RpcKind::Request,
         service_id,
         method_id,
         request_id,
-        payload_len: args.len() as u32,
+        payload_len: args_len as u32,
         cont_hint,
     };
-    let Ok(msg) = header.encode_message(&args) else {
-        debug_assert!(false, "header + args fit a UDP datagram");
-        return PktBuf::default();
-    };
-    match build_udp_frame(client, server, &msg, (request_id & 0xffff) as u16) {
-        Ok(frame) => PktBuf::from_vec(frame),
+    let args_at = FRAME_OVERHEAD + RPC_HEADER_LEN;
+    let mut frame = Vec::with_capacity(args_at + args_len);
+    frame.resize(args_at, 0);
+    VarintCodec::put_blob(&mut frame, 0, payload);
+    debug_assert_eq!(frame.len(), args_at + args_len);
+    // Every step is infallible for a UDP-sized payload; degrade to an
+    // empty frame (which the server-side checksum/parse path rejects)
+    // rather than panic if one ever fails.
+    let built = header
+        .write(frame.get_mut(FRAME_OVERHEAD..).unwrap_or_default())
+        .and_then(|_| write_udp_headers(client, server, (request_id & 0xffff) as u16, &mut frame));
+    match built {
+        Ok(()) => PktBuf::from_vec(frame),
         Err(_) => {
             debug_assert!(false, "request frame builds");
             PktBuf::default()
@@ -212,6 +214,36 @@ mod tests {
         assert_eq!(h.kind, RpcKind::Request);
         assert_eq!(h.service_id, 7);
         assert_eq!(h.request_id, 42);
+    }
+
+    #[test]
+    fn request_frame_is_byte_identical_to_the_layered_build() {
+        use lauberhorn_packet::build_udp_frame;
+        use lauberhorn_packet::marshal::{ArgType, Codec, Signature, Value};
+        let (client, server) = (EndpointAddr::host(3, 4000), EndpointAddr::host(1, 9000));
+        let sig = Signature::of(&[ArgType::Bytes]);
+        for len in [0, 1, 64, 4096, 56 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let request_id = 0x1_2345 + len as u64;
+            // Marshal, frame the RPC message, then the UDP datagram:
+            // the same bytes built layer by layer.
+            let args = VarintCodec
+                .encode(&sig, &[Value::Bytes(payload.clone())])
+                .unwrap();
+            let header = RpcHeader {
+                kind: RpcKind::Request,
+                service_id: 5,
+                method_id: 2,
+                request_id,
+                payload_len: args.len() as u32,
+                cont_hint: 9,
+            };
+            let msg = header.encode_message(&args).unwrap();
+            let layered =
+                build_udp_frame(client, server, &msg, (request_id & 0xffff) as u16).unwrap();
+            let raw = build_request(client, server, 5, 2, request_id, &payload, 9);
+            assert_eq!(raw.as_slice(), &layered[..], "{len}-byte payload");
+        }
     }
 
     #[test]
