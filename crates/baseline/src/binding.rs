@@ -10,8 +10,8 @@
 //! spinning IOKernel) to milliseconds (full DPDK queue setup); we model
 //! a configurable cost with a Shenango-favouring default.
 
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Cost model of one rebind operation.
 #[derive(Debug, Clone, Copy)]
@@ -43,24 +43,24 @@ impl RebindCost {
 #[derive(Debug)]
 pub struct BindingManager {
     /// service → core currently serving it.
-    assignment: HashMap<u16, usize>,
+    assignment: FastMap<u16, usize>,
     /// core → services bound to it.
     per_core: Vec<Vec<u16>>,
     cost: RebindCost,
     rebinds: u64,
     /// Until when each service is unavailable due to an ongoing rebind.
-    blocked_until: HashMap<u16, SimTime>,
+    blocked_until: FastMap<u16, SimTime>,
 }
 
 impl BindingManager {
     /// Creates a manager for `cores` dedicated dataplane cores.
     pub fn new(cores: usize, cost: RebindCost) -> Self {
         BindingManager {
-            assignment: HashMap::new(),
+            assignment: FastMap::default(),
             per_core: vec![Vec::new(); cores],
             cost,
             rebinds: 0,
-            blocked_until: HashMap::new(),
+            blocked_until: FastMap::default(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! service socket. The table has finite capacity, and reprogramming it
 //! is a slow control-plane operation (modelled in [`crate::binding`]).
 
-use std::collections::HashMap;
+use lauberhorn_sim::hash::FastMap;
 
 /// Errors from the filter table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ impl std::error::Error for FdirError {}
 /// The exact-match steering table: destination port → queue.
 #[derive(Debug, Clone)]
 pub struct FlowDirector {
-    rules: HashMap<u16, u32>,
+    rules: FastMap<u16, u32>,
     capacity: usize,
     default_queue: Option<u32>,
     programmed: u64,
@@ -41,7 +41,7 @@ impl FlowDirector {
     /// Creates a table with `capacity` rule slots.
     pub fn new(capacity: usize) -> Self {
         FlowDirector {
-            rules: HashMap::new(),
+            rules: FastMap::default(),
             capacity,
             default_queue: None,
             programmed: 0,

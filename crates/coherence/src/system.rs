@@ -19,8 +19,9 @@
 //! ownership, sharing, invalidation and recall latencies are all still
 //! modelled and charged.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::SimDuration;
 
 use crate::fabric::FabricModel;
@@ -192,8 +193,8 @@ pub struct CoherentSystem {
     device_limit: u64,
     l1_latency: SimDuration,
     dram_latency: SimDuration,
-    dirs: HashMap<LineAddr, DirEntry>,
-    pending: HashMap<FillToken, PendingFill>,
+    dirs: FastMap<LineAddr, DirEntry>,
+    pending: FastMap<FillToken, PendingFill>,
     next_token: u64,
     stats: CoherenceStats,
 }
@@ -225,8 +226,8 @@ impl CoherentSystem {
             // ~4 cycles at 2 GHz.
             l1_latency: SimDuration::from_ns(2),
             dram_latency: SimDuration::from_ns(60),
-            dirs: HashMap::new(),
-            pending: HashMap::new(),
+            dirs: FastMap::default(),
+            pending: FastMap::default(),
             next_token: 0,
             stats: CoherenceStats::default(),
         }

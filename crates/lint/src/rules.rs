@@ -33,10 +33,11 @@ pub enum Rule {
     /// Wall-clock time sources (`Instant`, `SystemTime`) anywhere
     /// outside the wall-clock bench harness.
     NondetTime,
-    /// `HashMap`/`HashSet` in determinism-critical crates: their
-    /// iteration order is arbitrary and must never feed reports or
-    /// state digests. Use `BTreeMap`/`BTreeSet` or justify that the
-    /// collection is never iterated.
+    /// `HashMap`/`HashSet` (and `sim`'s `FastMap`/`FastSet` aliases of
+    /// them) in determinism-critical crates: their iteration order is
+    /// arbitrary and must never feed reports or state digests. Use
+    /// `BTreeMap`/`BTreeSet` or justify that the collection is never
+    /// iterated.
     UnorderedCollection,
     /// A non-workspace dependency in a `Cargo.toml`.
     ExternalDep,
@@ -250,6 +251,10 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne",
 ];
 
+/// Hash-ordered collection types: `std`'s and the `sim::hash` aliases
+/// of them, whose iteration order is just as arbitrary.
+const UNORDERED_COLLECTIONS: &[&str] = &["HashMap", "HashSet", "FastMap", "FastSet"];
+
 /// Receiver-chain identifiers that mark a `+=` as a metrics-counter
 /// increment (`self.stats.shed += 1`, `self.faults.crashes += 1`, …).
 const COUNTER_RECEIVERS: &[&str] = &["stats", "metrics", "counters", "faults"];
@@ -439,14 +444,18 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
                 "bare .emit() call; use trace_ev! so a disabled trace never formats".into(),
             ));
         }
-        if deterministic && (t.text == "HashMap" || t.text == "HashSet") {
+        if deterministic && UNORDERED_COLLECTIONS.contains(&t.text.as_str()) {
             findings.push((
                 t.line,
                 Rule::UnorderedCollection,
                 format!(
                     "{} iteration order is nondeterministic; use BTree{} or justify",
                     t.text,
-                    if t.text == "HashMap" { "Map" } else { "Set" },
+                    if t.text.ends_with("Map") {
+                        "Map"
+                    } else {
+                        "Set"
+                    },
                 ),
             ));
         }
@@ -761,6 +770,15 @@ mod tests {
         assert!(!v.is_empty());
         assert!(v.iter().all(|x| x.rule == Rule::UnorderedCollection));
         assert!(lint_source("packet", "f.rs", src).is_empty());
+    }
+
+    #[test]
+    fn fast_hash_aliases_flagged_like_std_ones() {
+        let src = "use lauberhorn_sim::hash::{FastMap, FastSet};\nfn f() { let _m: FastMap<u32, u32> = FastMap::default(); let _s: FastSet<u16> = FastSet::default(); }";
+        let v = lint_source("core", "f.rs", src);
+        assert_eq!(v.len(), 2, "one finding per line: {v:?}");
+        assert!(v.iter().all(|x| x.rule == Rule::UnorderedCollection));
+        assert!(lint_source("coherence", "f.rs", src).is_empty());
     }
 
     #[test]

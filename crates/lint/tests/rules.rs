@@ -34,6 +34,20 @@ fn nondet_fixture_trips_time_and_collections() {
     let got = rules("rpc", include_str!("../fixtures/nondet.rs"));
     assert!(got.contains(&Rule::NondetTime), "{got:?}");
     assert!(got.contains(&Rule::UnorderedCollection), "{got:?}");
+    // The `sim` fast-hash alias is flagged like the std type it
+    // aliases: at its import and at its use.
+    let src = include_str!("../fixtures/nondet.rs");
+    let alias_lines: Vec<usize> = lint_source("rpc", "fixture.rs", src)
+        .into_iter()
+        .filter(|v| v.rule == Rule::UnorderedCollection)
+        .map(|v| v.line)
+        .filter(|&l| {
+            src.lines()
+                .nth(l - 1)
+                .is_some_and(|t| t.contains("FastMap"))
+        })
+        .collect();
+    assert_eq!(alias_lines.len(), 2, "{alias_lines:?}");
     // In a hot-path crate that is not determinism-scoped, only the
     // time rule fires.
     let os_only = rules("nic-lauberhorn", include_str!("../fixtures/nondet.rs"));

@@ -8,9 +8,8 @@
 //! into; it is allocated with a single device-line store and freed on
 //! use.
 
-use std::collections::HashMap;
-
 use lauberhorn_os::ProcessId;
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::SimDuration;
 
 use crate::endpoint::EndpointId;
@@ -55,7 +54,7 @@ impl std::error::Error for ContinuationError {}
 /// The NIC-resident continuation table.
 #[derive(Debug)]
 pub struct ContinuationTable {
-    slots: HashMap<u32, Continuation>,
+    slots: FastMap<u32, Continuation>,
     capacity: usize,
     next_hint: u32,
     created: u64,
@@ -66,7 +65,7 @@ impl ContinuationTable {
     /// Creates a table with `capacity` slots.
     pub fn new(capacity: usize) -> Self {
         ContinuationTable {
-            slots: HashMap::new(),
+            slots: FastMap::default(),
             capacity,
             next_hint: 1, // Hint 0 means "no continuation".
             created: 0,

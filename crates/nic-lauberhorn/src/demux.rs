@@ -5,10 +5,9 @@
 //! signatures, and the endpoints dispatching into it. This is the state
 //! that lets the NIC execute steps 3, 6, 10 and 11 of §2 in hardware.
 
-use std::collections::{HashMap, HashSet};
-
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::marshal::Signature;
+use lauberhorn_sim::hash::{FastMap, FastSet};
 
 use crate::endpoint::EndpointId;
 
@@ -69,9 +68,9 @@ impl std::error::Error for DemuxError {}
 /// rather than silently dispatching through a flipped pointer.
 #[derive(Debug, Default)]
 pub struct DemuxTable {
-    services: HashMap<u16, ServiceEntry>,
+    services: FastMap<u16, ServiceEntry>,
     /// Entries whose ECC check currently fails.
-    faulted: HashSet<u16>,
+    faulted: FastSet<u16>,
 }
 
 impl DemuxTable {

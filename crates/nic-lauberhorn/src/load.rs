@@ -6,8 +6,7 @@
 //! depth, and produces scaling advice the OS consumes (experiment C4's
 //! dynamic core reallocation).
 
-use std::collections::HashMap;
-
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::stats::Ewma;
 use lauberhorn_sim::SimTime;
 
@@ -67,7 +66,7 @@ impl Default for ServiceLoad {
 /// The per-service load tracker.
 #[derive(Debug, Default)]
 pub struct LoadTracker {
-    services: HashMap<u16, ServiceLoad>,
+    services: FastMap<u16, ServiceLoad>,
     /// A single core's service capacity in requests/second, used to
     /// convert rate into a core demand. Configured per machine.
     core_capacity_rps: f64,
@@ -78,7 +77,7 @@ impl LoadTracker {
     /// rate (1 / mean service time).
     pub fn new(core_capacity_rps: f64) -> Self {
         LoadTracker {
-            services: HashMap::new(),
+            services: FastMap::default(),
             core_capacity_rps,
         }
     }

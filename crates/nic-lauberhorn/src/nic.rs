@@ -18,13 +18,12 @@
 //! every decision unit-testable and lets the model checker drive the
 //! same logic.
 
-use std::collections::HashMap;
-
 use lauberhorn_coherence::{FillToken, LineAddr, LineData};
 use lauberhorn_os::ProcessId;
 use lauberhorn_packet::frame::EndpointAddr;
 use lauberhorn_packet::marshal::transform_to_dispatch_form;
 use lauberhorn_packet::{build_udp_frame, parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind};
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::{
     AdmissionCtl, OverloadConfig, ShedReason, SimDuration, SimTime, TenancyConfig,
 };
@@ -349,15 +348,15 @@ pub struct NicSalvage {
 pub struct LauberhornNic {
     cfg: LauberhornNicConfig,
     demux: DemuxTable,
-    endpoints: HashMap<EndpointId, Endpoint>,
-    modes: HashMap<EndpointId, EpMode>,
+    endpoints: FastMap<EndpointId, Endpoint>,
+    modes: FastMap<EndpointId, EpMode>,
     /// Endpoint lookup by base address (endpoints are allocated
     /// contiguously, each `total_lines` long).
     addr_index: Vec<(u64, u64, EndpointId)>,
-    parked_core: HashMap<EndpointId, usize>,
+    parked_core: FastMap<EndpointId, usize>,
     /// Core → endpoint holding an uncollected response that core
     /// produced (for cross-endpoint collection, Figure 5 lifecycle).
-    pending_response_by_core: HashMap<usize, EndpointId>,
+    pending_response_by_core: FastMap<usize, EndpointId>,
     mirror: SchedMirror,
     load: LoadTracker,
     conts: ContinuationTable,
@@ -386,11 +385,11 @@ impl LauberhornNic {
             alloc_cursor: cfg.device_base,
             dma_cursor: cfg.dma_buffer_base,
             demux: DemuxTable::new(),
-            endpoints: HashMap::new(),
-            modes: HashMap::new(),
+            endpoints: FastMap::default(),
+            modes: FastMap::default(),
             addr_index: Vec::new(),
-            parked_core: HashMap::new(),
-            pending_response_by_core: HashMap::new(),
+            parked_core: FastMap::default(),
+            pending_response_by_core: FastMap::default(),
             mirror: SchedMirror::new(num_cores),
             load: LoadTracker::new(core_capacity_rps),
             conts: ContinuationTable::new(4096),
@@ -1354,7 +1353,7 @@ impl LauberhornNic {
     /// Takes the two fields it touches, not `self`, so callers can keep
     /// borrowing the demux table.
     fn offer(
-        endpoints: &mut HashMap<EndpointId, Endpoint>,
+        endpoints: &mut FastMap<EndpointId, Endpoint>,
         fx: &mut Vec<Effect>,
         id: EndpointId,
         (line, ctx): (DispatchLine, RequestCtx),

@@ -6,8 +6,9 @@
 //! crate mirrors a subset of this state on the device; the kernel-stack
 //! baseline consults it the traditional way (wakeups and IPIs).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::{MetricsRegistry, SimDuration};
 
 use crate::proc::{ProcessId, ThreadId, ThreadInfo, ThreadState};
@@ -95,7 +96,7 @@ const WAKEUP_PREEMPT_GRANULARITY: u64 = SimDuration::from_us(500).as_ps();
 #[derive(Debug)]
 pub struct OsScheduler {
     cores: Vec<Option<ThreadId>>,
-    threads: HashMap<ThreadId, ThreadInfo>,
+    threads: FastMap<ThreadId, ThreadInfo>,
     queues: Vec<BTreeSet<(u64, ThreadId)>>,
     min_vruntime: Vec<u64>,
     stats: SchedStats,
@@ -108,7 +109,7 @@ impl OsScheduler {
         assert!(num_cores > 0, "scheduler needs at least one core");
         OsScheduler {
             cores: vec![None; num_cores],
-            threads: HashMap::new(),
+            threads: FastMap::default(),
             queues: vec![BTreeSet::new(); num_cores],
             min_vruntime: vec![0; num_cores],
             stats: SchedStats::default(),

@@ -7,8 +7,7 @@
 //! on a miss — costs Lauberhorn's device-homed protocol never pays on
 //! its fast path.
 
-use std::collections::HashMap;
-
+use lauberhorn_sim::hash::FastMap;
 use lauberhorn_sim::SimDuration;
 
 /// Page size used by the I/O page tables.
@@ -66,7 +65,7 @@ struct PageEntry {
 /// An IOMMU translation domain for one device.
 #[derive(Debug)]
 pub struct Iommu {
-    pages: HashMap<u64, PageEntry>, // Keyed by IOVA page number.
+    pages: FastMap<u64, PageEntry>, // Keyed by IOVA page number.
     iotlb: Vec<u64>,                // LRU queue of page numbers, most recent last.
     iotlb_capacity: usize,
     walk_latency: SimDuration,
@@ -84,7 +83,7 @@ impl Iommu {
     /// Creates a domain with an IOTLB of `iotlb_capacity` entries.
     pub fn new(iotlb_capacity: usize) -> Self {
         Iommu {
-            pages: HashMap::new(),
+            pages: FastMap::default(),
             iotlb: Vec::new(),
             iotlb_capacity,
             // A 2-level I/O page walk: two dependent DRAM accesses.

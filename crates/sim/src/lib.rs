@@ -19,6 +19,7 @@ pub mod critpath;
 pub mod energy;
 pub mod fault;
 pub mod flightrec;
+pub mod hash;
 pub mod metrics;
 pub mod overload;
 pub mod queue;

@@ -39,6 +39,10 @@
 //!   event scheduled *while processing* the batch necessarily has a
 //!   higher sequence number than everything drained, batch delivery
 //!   is observationally identical to repeated `pop()`.
+//! * **Settled head.** Proving the ready head minimal scans every
+//!   level and the calendar. The proof is remembered until the head
+//!   leaves `ready` (or a compaction sweeps it), so the driver's
+//!   peek / peek / pop sequence per event pays for it once.
 //!
 //! All counters (`seq`, `popped`) are `u64`: at 10⁹ events/sec they
 //! roll over after ~584 years of wall clock, so 10⁸⁺-event sweeps are
@@ -121,6 +125,12 @@ pub struct EventQueue<E> {
     /// The wheel cursor: every event still in the wheel or calendar
     /// has a tick `>= cur_tick`.
     cur_tick: u64,
+    /// `refill` has proven the head of `ready` to be the global
+    /// `(time, seq)` minimum. Cleared only when the head leaves `ready`
+    /// or a compaction runs: `schedule` inserts into `ready` in order or
+    /// into the wheel strictly after `cur_tick`, at or before which the
+    /// head lies, so it never undercuts the proof (DESIGN.md §13).
+    settled: bool,
     next_seq: u64,
     now: SimTime,
     live: u64,
@@ -150,6 +160,7 @@ impl<E> EventQueue<E> {
             overflow: BTreeMap::new(),
             ready: VecDeque::new(),
             cur_tick: 0,
+            settled: false,
             next_seq: 0,
             now: SimTime::ZERO,
             live: 0,
@@ -303,6 +314,8 @@ impl<E> EventQueue<E> {
     /// nodes outnumber live ones, so the sweep is amortized O(1) per
     /// cancel and arena memory stays O(live).
     fn compact(&mut self) {
+        // The sweep may drop the ready head.
+        self.settled = false;
         let mut freed: Vec<u32> = Vec::new();
         for v in self.wheel.iter_mut() {
             v.retain(|&i| match self.nodes.get(i as usize) {
@@ -378,8 +391,12 @@ impl<E> EventQueue<E> {
     /// Moves events into `ready` until the head of `ready` is provably
     /// the global `(time, seq)` minimum: every wheel/calendar slot
     /// whose lower-bound tick could still precede (or tie) the ready
-    /// head is drained or cascaded first.
+    /// head is drained or cascaded first. Once proven, the head stays
+    /// settled until it leaves `ready`, so repeated peeks cost nothing.
     fn refill(&mut self) {
+        if self.settled {
+            return;
+        }
         loop {
             let ready_tick = self
                 .ready
@@ -404,10 +421,14 @@ impl<E> EventQueue<E> {
                 best.map(|(b, _, _)| b)
             };
             let Some(cand) = min_cand else {
-                return; // Wheel and calendar empty: ready is all there is.
+                // Wheel and calendar empty: ready is all there is.
+                self.settled = !self.ready.is_empty();
+                return;
             };
             if ready_tick.is_some_and(|rt| rt < cand) {
-                return; // Ready head strictly precedes anything queued.
+                // Ready head strictly precedes anything queued.
+                self.settled = true;
+                return;
             }
             if use_overflow {
                 if let Some(k) = overflow_cand {
@@ -469,12 +490,18 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Takes the head off `ready`. The next head is unproven.
+    fn pop_head(&mut self) -> Option<u32> {
+        self.settled = false;
+        self.ready.pop_front()
+    }
+
     /// Pops the earliest non-cancelled event, advancing the clock to
     /// its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             self.refill();
-            let idx = self.ready.pop_front()?;
+            let idx = self.pop_head()?;
             match self.free_node(idx) {
                 Some((at, payload)) => {
                     debug_assert!(at >= self.now, "time went backwards");
@@ -517,7 +544,7 @@ impl<E> EventQueue<E> {
             if !same_time {
                 break;
             }
-            self.ready.pop_front();
+            self.pop_head();
             match self.free_node(idx) {
                 Some((t, e)) => {
                     self.popped += 1;
@@ -542,7 +569,7 @@ impl<E> EventQueue<E> {
                 Some(n) if n.payload.is_some() => return Some(n.at),
                 _ => {
                     // Reap a cancelled head and keep looking.
-                    self.ready.pop_front();
+                    self.pop_head();
                     self.free_node(idx);
                     self.cancelled_pending = self.cancelled_pending.saturating_sub(1);
                 }

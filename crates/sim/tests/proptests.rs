@@ -3,7 +3,8 @@
 //! Deterministic in-tree replacement for an external property-testing
 //! framework: each property is checked over many seeded random cases.
 
-use lauberhorn_sim::queue::reference::ReferenceQueue;
+use lauberhorn_sim::queue::reference::{RefEventId, ReferenceQueue};
+use lauberhorn_sim::queue::EventId;
 use lauberhorn_sim::{EventQueue, Histogram, SimDuration, SimRng, SimTime};
 
 fn vec_u64(rng: &mut SimRng, lo: u64, hi: u64, min_len: usize, max_len: usize) -> Vec<u64> {
@@ -60,67 +61,185 @@ fn cancelled_events_never_fire() {
     }
 }
 
+/// The soak knob, read from the environment (the test harness owns
+/// argv): `LAUBERHORN_SCALE=N` runs `N`× the randomized cases.
+fn scale() -> u64 {
+    std::env::var("LAUBERHORN_SCALE")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1)
+}
+
+/// A random scheduling horizon in ps, biased toward the cursor where
+/// ordering is subtlest.
+fn horizon(rng: &mut SimRng) -> u64 {
+    match rng.gen_u64() % 6 {
+        0 => 0,                                 // Exactly now.
+        1 => rng.gen_u64() % 1_024,             // Same tick.
+        2 => rng.gen_u64() % (64 << 10),        // Level 0.
+        3 => rng.gen_u64() % (4096 << 10),      // Level 1.
+        4 => rng.gen_u64() % (64u64 << 40),     // Deep wheel.
+        _ => 1u64 << (41 + rng.gen_u64() % 10), // Calendar.
+    }
+}
+
+/// The wheel and the reference queue driven in lockstep, with the live
+/// events both still hold.
+struct Lockstep {
+    wheel: EventQueue<u64>,
+    reference: ReferenceQueue<u64>,
+    /// `(wheel id, ref id, key, time)`; keys rise with insertion order.
+    live: Vec<(EventId, RefEventId, u64, SimTime)>,
+    next_key: u64,
+}
+
+impl Lockstep {
+    fn schedule(&mut self, at: SimTime) {
+        let key = self.next_key;
+        self.next_key += 1;
+        let wid = self.wheel.schedule(at, key);
+        let rid = self.reference.schedule(at, key);
+        self.live.push((wid, rid, key, at));
+    }
+
+    fn cancel_at(&mut self, i: usize, case: u64) {
+        let (wid, rid, _, _) = self.live.swap_remove(i);
+        assert_eq!(
+            self.wheel.cancel(wid),
+            self.reference.cancel(rid),
+            "case {case}: cancel disagreed"
+        );
+    }
+
+    fn peek(&mut self, case: u64) -> Option<SimTime> {
+        let t = self.wheel.peek_time();
+        assert_eq!(t, self.reference.peek_time(), "case {case}: peek diverged");
+        t
+    }
+
+    /// Index in `live` of the `(time, insertion)`-minimal event: the
+    /// head both queues must deliver next.
+    fn head(&self) -> Option<usize> {
+        self.live
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(_, _, key, at))| (at, key))
+            .map(|(i, _)| i)
+    }
+
+    fn retire(&mut self, key: u64) {
+        self.live.retain(|&(_, _, k, _)| k != key);
+    }
+}
+
 #[test]
 fn timer_wheel_matches_reference_queue_event_for_event() {
     // Differential test: the hierarchical timer wheel must deliver the
     // exact (time, insertion-order) stream of the straightforward
     // binary-heap reference implementation under randomized interleaved
-    // schedule / cancel / pop workloads, including same-time ties,
-    // relative (cursor-adjacent) times, rotation-aliased distances and
-    // far-future calendar times.
-    for case in 0..200u64 {
+    // schedule / cancel / peek / pop workloads, including same-time
+    // ties, relative (cursor-adjacent) times, rotation-aliased
+    // distances and far-future calendar times.
+    //
+    // Peeks without a pop, scheduling right after a peek, cancelling a
+    // peeked head, batch pops and compaction sweeps all probe the
+    // wheel's settled head: the proof that the ready head is minimal,
+    // which must be dropped exactly when that head leaves `ready`.
+    for case in 0..200 * scale() {
         let mut rng = SimRng::stream(case, "pq-diff");
-        let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
-        // Live handles for cancellation: (wheel id, ref id, key).
-        let mut live = Vec::new();
-        let mut next_key = 0u64;
+        let mut q = Lockstep {
+            wheel: EventQueue::new(),
+            reference: ReferenceQueue::new(),
+            live: Vec::new(),
+            next_key: 0,
+        };
         let ops = rng.gen_range(200..=1_200);
         for _ in 0..ops {
-            match rng.gen_u64() % 10 {
-                // Schedule (most ops): a spread of horizons, biased
-                // toward the cursor where ordering is subtlest.
-                0..=5 => {
-                    let now = wheel.now();
-                    let horizon = match rng.gen_u64() % 5 {
-                        0 => rng.gen_u64() % 1_024,             // Same tick.
-                        1 => rng.gen_u64() % (64 << 10),        // Level 0.
-                        2 => rng.gen_u64() % (4096 << 10),      // Level 1.
-                        3 => rng.gen_u64() % (64u64 << 40),     // Deep wheel.
-                        _ => 1u64 << (41 + rng.gen_u64() % 10), // Calendar.
-                    };
-                    let at = SimTime::from_ps(now.as_ps() + horizon);
-                    let key = next_key;
-                    next_key += 1;
-                    let wid = wheel.schedule(at, key);
-                    let rid = reference.schedule(at, key);
-                    live.push((wid, rid, key));
+            match rng.gen_u64() % 16 {
+                // Schedule (most ops).
+                0..=8 => {
+                    let at = SimTime::from_ps(q.wheel.now().as_ps() + horizon(&mut rng));
+                    q.schedule(at);
                 }
                 // Cancel a random live event.
-                6 => {
-                    if !live.is_empty() {
-                        let i = (rng.gen_u64() % live.len() as u64) as usize;
-                        let (wid, rid, _) = live.swap_remove(i);
-                        assert_eq!(wheel.cancel(wid), reference.cancel(rid));
+                9 => {
+                    if !q.live.is_empty() {
+                        let i = (rng.gen_u64() % q.live.len() as u64) as usize;
+                        q.cancel_at(i, case);
                     }
                 }
-                // Pop and compare.
+                // Peek with no pop, one to three times.
+                10 => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        q.peek(case);
+                    }
+                }
+                // Schedule at `now()` right after a peek: the event
+                // joins the ready run directly, possibly ahead of the
+                // settled head.
+                11 => {
+                    q.peek(case);
+                    let now = q.wheel.now();
+                    q.schedule(now);
+                    q.peek(case);
+                }
+                // Cancel the head right after peeking it.
+                12 => {
+                    q.peek(case);
+                    if let Some(i) = q.head() {
+                        q.cancel_at(i, case);
+                    }
+                    q.peek(case);
+                }
+                // Batch pop against reference pops at one timestamp.
+                13 => {
+                    let mut batch = Vec::new();
+                    let n = q.wheel.pop_batch(&mut batch);
+                    let mut expect = Vec::new();
+                    if let Some(t0) = q.reference.peek_time() {
+                        while q.reference.peek_time() == Some(t0) {
+                            expect.extend(q.reference.pop());
+                        }
+                    }
+                    assert_eq!(batch, expect, "case {case}: pop_batch diverged");
+                    assert_eq!(n, expect.len());
+                    for (_, key) in batch {
+                        q.retire(key);
+                    }
+                }
+                // Peek, cancel the head, then schedule and cancel
+                // enough throwaway events that a compaction sweep runs
+                // (cancelled nodes outnumber live ones plus slack).
+                14 => {
+                    q.peek(case);
+                    if let Some(i) = q.head() {
+                        q.cancel_at(i, case);
+                    }
+                    for _ in 0..q.wheel.len() + 65 {
+                        let at = SimTime::from_ps(q.wheel.now().as_ps() + horizon(&mut rng));
+                        q.schedule(at);
+                        q.cancel_at(q.live.len() - 1, case);
+                    }
+                    q.peek(case);
+                }
+                // Peek, pop and compare.
                 _ => {
-                    assert_eq!(wheel.peek_time(), reference.peek_time());
-                    let w = wheel.pop();
-                    let r = reference.pop();
+                    q.peek(case);
+                    let w = q.wheel.pop();
+                    let r = q.reference.pop();
                     assert_eq!(w, r, "case {case}: wheel diverged from reference");
                     if let Some((_, key)) = w {
-                        live.retain(|&(_, _, k)| k != key);
+                        q.retire(key);
                     }
                 }
             }
         }
         // Drain both to the end.
         loop {
-            assert_eq!(wheel.len(), reference.len());
-            let w = wheel.pop();
-            let r = reference.pop();
+            assert_eq!(q.wheel.len(), q.reference.len());
+            let w = q.wheel.pop();
+            let r = q.reference.pop();
             assert_eq!(w, r, "case {case}: drain diverged");
             if w.is_none() {
                 break;
