@@ -5,134 +5,77 @@
 //! cargo run --release -p lauberhorn-bench --bin trend -- --write-baselines
 //! ```
 //!
-//! Scans the current directory for schema-valid `lauberhorn-bench/v1`
-//! artifacts, compares each against its committed baseline under
+//! For every experiment the registry gates (the entries with an
+//! artifact), reads `BENCH_<name>.json` from the current directory,
+//! compares it against its committed baseline under
 //! `crates/bench/baselines/trend/`, and writes the deterministic
 //! `BENCH_trend.json` (schema `lauberhorn-trend/v1`). Exits non-zero
-//! when any row regressed past the noise thresholds or vanished from
-//! an experiment — each latency regression is attributed to the
-//! critical-path stage whose blame share grew, when the artifact
-//! carries blame (the `profile` rows do).
+//! when any row regressed past the noise thresholds or vanished, or a
+//! gated artifact is missing or invalid — each latency regression is
+//! attributed to the critical-path stage whose blame share grew, when
+//! the artifact carries blame (the `profile` rows do).
 //!
-//! The `engine` artifact is wall-clock-dependent (events/second on the
-//! host) and is skipped here; its dedicated ratio gate lives in
-//! `engine_bench --gate`. `--write-baselines` refreshes the committed
-//! baselines from the current artifacts instead of comparing.
+//! Other `BENCH_*.json` files are skipped: the `engine` artifact is
+//! wall-clock-dependent (events/second on the host) and has its own
+//! ratio gate in `engine_bench --gate`. `--write-baselines` refreshes
+//! the committed baselines from the current artifacts instead of
+//! comparing.
 
-use lauberhorn_bench::json::Json;
-use lauberhorn_bench::{artifact, trend};
+use lauberhorn_bench::{artifact, registry, trend};
 
-/// Experiments whose artifacts embed host wall-clock measurements and
-/// therefore cannot gate across machines.
-const WALL_CLOCK_EXPERIMENTS: &[&str] = &["engine"];
+fn fail(msg: &str) -> ! {
+    eprintln!("trend: {msg}");
+    std::process::exit(1);
+}
 
 fn main() {
     let write_baselines = std::env::args().skip(1).any(|a| a == "--write-baselines");
     let root = artifact::out_dir();
-    let mut names: Vec<String> = match std::fs::read_dir(&root) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && n != "BENCH_trend.json")
-            .collect(),
-        Err(e) => {
-            eprintln!("trend: cannot scan {}: {e}", root.display());
-            std::process::exit(1);
-        }
-    };
-    names.sort();
+    // Sorted, so `BENCH_trend.json` lists experiments by name whatever
+    // the registry order.
+    let mut gated: Vec<&str> = registry::gated().collect();
+    gated.sort_unstable();
+
+    let entries = std::fs::read_dir(&root)
+        .unwrap_or_else(|e| fail(&format!("cannot scan {}: {e}", root.display())));
+    let mut others: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && n != "BENCH_trend.json")
+        .filter(|n| !gated.iter().any(|g| *n == format!("BENCH_{g}.json")))
+        .collect();
+    others.sort();
+    for name in &others {
+        println!("trend: {name}: not a gated experiment, skipped");
+    }
 
     let th = trend::Thresholds::default();
     let mut trends = Vec::new();
-    let mut skipped = 0;
-    for name in &names {
-        let path = root.join(name);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("trend: skip {name}: {e}");
-                skipped += 1;
-                continue;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("trend: skip {name}: parse: {e}");
-                skipped += 1;
-                continue;
-            }
-        };
-        if let Err(e) = artifact::validate(&doc) {
-            eprintln!("trend: skip {name}: schema: {e}");
-            skipped += 1;
-            continue;
-        }
-        let experiment = doc
-            .get("experiment")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        if WALL_CLOCK_EXPERIMENTS.contains(&experiment.as_str()) {
-            println!("trend: {experiment}: wall-clock experiment, skipped (gated elsewhere)");
-            continue;
-        }
-        let baseline_path = trend::baseline_dir().join(format!("{experiment}.json"));
+    for name in gated {
+        let path = root.join(format!("BENCH_{name}.json"));
+        let current = trend::load(&path, name).unwrap_or_else(|e| fail(&e));
+        let baseline_path = trend::baseline_dir().join(format!("{name}.json"));
         if write_baselines {
-            if let Some(dir) = baseline_path.parent() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("trend: cannot create {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
+            if current.is_none() {
+                fail(&format!("{name}: no {} to refresh from", path.display()));
             }
-            if let Err(e) = std::fs::write(&baseline_path, &text) {
-                eprintln!("trend: cannot write {}: {e}", baseline_path.display());
-                std::process::exit(1);
+            if let Err(e) = std::fs::copy(&path, &baseline_path) {
+                fail(&format!("cannot write {}: {e}", baseline_path.display()));
             }
-            println!("baseline {experiment} <- {name}");
+            println!("baseline {name} <- {}", path.display());
             continue;
         }
-        let baseline_text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(_) => {
-                println!(
-                    "trend: {experiment}: no baseline (commit one with --write-baselines); \
-                     treating all rows as new"
-                );
-                let empty = Json::parse(&format!(
-                    "{{\"schema\": \"{}\", \"experiment\": \"{experiment}\", \
-                     \"seed\": 0, \"rows\": []}}",
-                    artifact::SCHEMA
-                ))
-                .expect("literal empty artifact parses");
-                match trend::compare(&experiment, &doc, &empty, &th) {
-                    Ok(t) => trends.push(t),
-                    Err(e) => {
-                        eprintln!("trend: {experiment}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-                continue;
-            }
-        };
-        let baseline = match Json::parse(&baseline_text)
-            .map_err(|e| e.to_string())
-            .and_then(|b| {
-                artifact::validate(&b)?;
-                Ok(b)
-            }) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("trend: baseline {}: {e}", baseline_path.display());
-                std::process::exit(1);
-            }
-        };
-        match trend::compare(&experiment, &doc, &baseline, &th) {
+        let baseline = trend::load(&baseline_path, name).unwrap_or_else(|e| fail(&e));
+        match (&current, &baseline) {
+            (None, _) => println!("trend: {name}: artifact missing; every baseline row vanished"),
+            (_, None) => println!(
+                "trend: {name}: no baseline (commit one with --write-baselines); \
+                 treating all rows as new"
+            ),
+            _ => {}
+        }
+        match trend::gate(name, current.as_ref(), baseline.as_ref(), &th) {
             Ok(t) => trends.push(t),
-            Err(e) => {
-                eprintln!("trend: {experiment}: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&e),
         }
     }
     if write_baselines {
@@ -174,20 +117,18 @@ fn main() {
 
     let doc = trend::document(&trends);
     if let Err(e) = trend::validate(&doc) {
-        eprintln!("trend: emitted document fails its own schema: {e}");
-        std::process::exit(1);
+        fail(&format!("emitted document fails its own schema: {e}"));
     }
     let out = root.join("BENCH_trend.json");
     if let Err(e) = std::fs::write(&out, doc.render()) {
-        eprintln!("trend: cannot write {}: {e}", out.display());
-        std::process::exit(1);
+        fail(&format!("cannot write {}: {e}", out.display()));
     }
     let failures: usize = trends.iter().map(trend::ExperimentTrend::failures).sum();
     let compared: usize = trends.iter().map(|t| t.rows.len()).sum();
     println!(
-        "trend: {} experiment(s), {compared} row(s), {failures} regression(s), \
-         {skipped} skipped -> {}",
+        "trend: {} experiment(s), {compared} row(s), {failures} regression(s), {} skipped -> {}",
         trends.len(),
+        others.len(),
         out.display()
     );
     if failures > 0 {

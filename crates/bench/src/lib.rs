@@ -1,11 +1,15 @@
-//! Shared helpers for the benchmark binaries.
+//! The benchmark harness: regenerates every table and figure of the
+//! paper and the extension experiments.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper; run them all via `cargo run -p lauberhorn-bench --bin <name>`
-//! or let `all_figures` drive the complete set.
+//! [`registry`] holds one entry per experiment; the `repro` binary runs
+//! them (`repro <id>…` or `repro --all`), writing each entry's
+//! `BENCH_<name>.json` artifact ([`artifact`]), and the `trend` binary
+//! gates those artifacts against committed baselines ([`trend`]).
+//! `engine_bench` is the event-queue microbenchmark with its own gate.
 
 pub mod artifact;
 pub mod json;
+pub mod registry;
 pub mod trend;
 
 use std::time::Instant;
@@ -37,41 +41,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
             return;
         }
         iters = iters.saturating_mul((50_000_000 / elapsed.as_nanos().max(1) as u64).clamp(2, 100));
-    }
-}
-
-/// The request-count scale knob shared by the sweep binaries.
-///
-/// Reads `--scale N` (or `--scale=N`) from the command line, falling
-/// back to the `LAUBERHORN_SCALE` environment variable; the default is
-/// scale 1. The knob stretches each sweep point's measured load window
-/// by `N`×, multiplying the simulated request count while keeping
-/// every offered-load point — and thus every per-second statistic —
-/// directly comparable to the 1× run.
-pub fn scale() -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--scale=") {
-            return parse_scale(v, "--scale");
-        }
-        if a == "--scale" {
-            let v = args.next().unwrap_or_default();
-            return parse_scale(&v, "--scale");
-        }
-    }
-    match std::env::var("LAUBERHORN_SCALE") {
-        Ok(v) => parse_scale(&v, "LAUBERHORN_SCALE"),
-        Err(_) => 1,
-    }
-}
-
-fn parse_scale(v: &str, what: &str) -> u64 {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("invalid {what} value {v:?}: want an integer >= 1");
-            std::process::exit(2);
-        }
     }
 }
 

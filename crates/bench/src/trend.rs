@@ -13,8 +13,9 @@
 //! trend job gates on. The document carries no timestamps: two runs of
 //! the same tree produce byte-identical `BENCH_trend.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use crate::artifact;
 use crate::json::Json;
 
 /// The schema identifier the trend document carries.
@@ -400,6 +401,54 @@ pub fn baseline_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("baselines")
         .join("trend")
+}
+
+/// Reads one `lauberhorn-bench/v1` document of `experiment` from
+/// `path`: `Ok(None)` when the file does not exist, an error when it
+/// exists but cannot be read, fails its schema, or belongs to another
+/// experiment.
+pub fn load(path: &Path, experiment: &str) -> Result<Option<Json>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
+    };
+    let doc = Json::parse(&text).map_err(|e| format!("{}: parse: {e}", path.display()))?;
+    artifact::validate(&doc).map_err(|e| format!("{}: schema: {e}", path.display()))?;
+    let named = doc.get("experiment").and_then(Json::as_str);
+    if named != Some(experiment) {
+        return Err(format!(
+            "{}: names experiment {named:?}, want {experiment:?}",
+            path.display()
+        ));
+    }
+    Ok(Some(doc))
+}
+
+/// The gate's verdict on one gated experiment. Without a baseline
+/// every current row is new; without a current artifact the experiment
+/// has vanished and every baseline row comes back missing, so it fails
+/// the gate exactly as a vanished row does. An experiment with neither
+/// (or whose vanished baseline held no rows) is an error.
+pub fn gate(
+    experiment: &str,
+    current: Option<&Json>,
+    baseline: Option<&Json>,
+    th: &Thresholds,
+) -> Result<ExperimentTrend, String> {
+    let empty = artifact::document(experiment, 0, &[]);
+    let t = compare(
+        experiment,
+        current.unwrap_or(&empty),
+        baseline.unwrap_or(&empty),
+        th,
+    )?;
+    if current.is_none() && t.failures() == 0 {
+        return Err(format!(
+            "{experiment}: no artifact and no baseline rows to miss"
+        ));
+    }
+    Ok(t)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use lauberhorn_bench::artifact::{self, BenchRow};
 use lauberhorn_bench::json::Json;
 use lauberhorn_bench::trend;
 
-/// One traced closed-loop run per stack, as the profile bin emits.
+/// One traced closed-loop run per stack, as the `PROFILE` experiment emits.
 fn profile_doc() -> Json {
     let wl = WorkloadSpec::echo_closed(64, 2, 7).with_observe(ObserveSpec::full());
     let rows: Vec<BenchRow> = [
@@ -152,4 +152,29 @@ fn stack_names_match_the_committed_baselines() {
             "expected a stack starting with {expect}, got {names:?}"
         );
     }
+}
+
+#[test]
+fn a_gated_experiment_without_its_artifact_fails_the_gate() {
+    // A committed baseline whose experiment no longer writes its
+    // artifact has vanished: every baseline row is missing, so the gate
+    // fails rather than silently comparing nothing.
+    let baseline = profile_doc();
+    let th = trend::Thresholds::default();
+    let t = trend::gate("profile", None, Some(&baseline), &th).expect("gate decides");
+    let rows = baseline.get("rows").and_then(Json::as_arr).expect("rows");
+    assert_eq!(t.failures(), rows.len(), "every baseline row is lost");
+    assert!(t.rows.iter().all(|r| r.status == trend::RowStatus::Missing));
+    assert!(
+        trend::gate("profile", None, None, &th).is_err(),
+        "nothing to compare is an error, not a pass"
+    );
+
+    // With the artifact present the same baseline compares clean, and
+    // without a baseline every row is new.
+    let t = trend::gate("profile", Some(&baseline), Some(&baseline), &th).expect("compares");
+    assert_eq!(t.failures(), 0);
+    let t = trend::gate("profile", Some(&baseline), None, &th).expect("compares");
+    assert_eq!(t.failures(), 0);
+    assert!(t.rows.iter().all(|r| r.status == trend::RowStatus::New));
 }

@@ -84,7 +84,7 @@ pub fn tryagain_timeout() -> SimDuration {
 }
 
 /// Renders the calibration table (used by the README generator and the
-/// `fig2_rtt` harness header).
+/// `F2` experiment header).
 pub fn calibration_table() -> String {
     let mut out = String::from(
         "machine                                   GHz  line  coh-fill   mmio-rd    dma-rd     xover\n",

@@ -12,10 +12,6 @@
 //!   or `sim` outside `#[cfg(test)]` code.
 //! - **Zero external dependencies**: every `Cargo.toml` dependency
 //!   must be a workspace/path dependency.
-//! - **Zero-perturbation telemetry**: instrumented crates
-//!   (`nic-lauberhorn`, `coherence`, `os`, `rpc`) may only emit trace
-//!   events through `trace_ev!`, never via a bare `.emit(` call that
-//!   would format its message even with tracing off.
 //!
 //! Exceptions require an inline justification pragma — the comment
 //! form `lint:allow` + `(<rule>): <reason>`. See [`rules`] for the rule set

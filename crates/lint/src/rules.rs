@@ -41,11 +41,6 @@ pub enum Rule {
     UnorderedCollection,
     /// A non-workspace dependency in a `Cargo.toml`.
     ExternalDep,
-    /// A bare `.emit(` telemetry call in an instrumented crate. Trace
-    /// emission must go through the `trace_ev!` macro so a disabled
-    /// trace never pays for `format!` — an unguarded call would also
-    /// be invisible to the zero-perturbation audit.
-    UnguardedTelemetry,
     /// A malformed suppression pragma (missing reason, unknown rule).
     BadPragma,
     /// A collection push on an arrival path not dominated by a
@@ -75,7 +70,6 @@ impl Rule {
             Rule::NondetTime => "nondet-time",
             Rule::UnorderedCollection => "unordered-collection",
             Rule::ExternalDep => "external-dep",
-            Rule::UnguardedTelemetry => "unguarded-telemetry",
             Rule::BadPragma => "bad-pragma",
             Rule::UnboundedGrowth => "unbounded-growth",
             Rule::RecoveryPurity => "recovery-purity",
@@ -94,7 +88,6 @@ impl Rule {
             "nondet-time" => Some(Rule::NondetTime),
             "unordered-collection" => Some(Rule::UnorderedCollection),
             "external-dep" => Some(Rule::ExternalDep),
-            "unguarded-telemetry" => Some(Rule::UnguardedTelemetry),
             "unbounded-growth" => Some(Rule::UnboundedGrowth),
             "recovery-purity" => Some(Rule::RecoveryPurity),
             "counter-balance" => Some(Rule::CounterBalance),
@@ -114,10 +107,9 @@ pub mod scopes {
     /// Crates allowed to read the wall clock (the bench harness
     /// measures real elapsed time) — and the linter itself.
     pub const WALL_CLOCK_EXEMPT: &[&str] = &["bench", "lint"];
-    /// Crates instrumented with the event trace: every `.emit(` must
-    /// go through `trace_ev!`. `sim` is exempt — it *defines* the
-    /// macro (whose expansion necessarily contains the bare call).
-    pub const TELEMETRY: &[&str] = &["nic-lauberhorn", "coherence", "os", "rpc"];
+    /// Crates that keep metrics counters: every counter incremented
+    /// must be registered somewhere.
+    pub const COUNTERS: &[&str] = &["nic-lauberhorn", "coherence", "os", "rpc"];
 }
 
 /// One finding.
@@ -281,7 +273,7 @@ fn rule_in_scope(rule: Rule, crate_name: &str) -> bool {
         }
         Rule::NondetTime => !scopes::WALL_CLOCK_EXEMPT.contains(&crate_name),
         Rule::UnorderedCollection => scopes::DETERMINISTIC.contains(&crate_name),
-        Rule::UnguardedTelemetry | Rule::CounterBalance => scopes::TELEMETRY.contains(&crate_name),
+        Rule::CounterBalance => scopes::COUNTERS.contains(&crate_name),
         Rule::RecoveryPurity => crate_name == "os",
         Rule::Conformance | Rule::ExternalDep | Rule::BadPragma | Rule::UnusedPragma => true,
     }
@@ -387,7 +379,7 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
     let hot = scopes::HOT_PATH.contains(&crate_name);
     let deterministic = scopes::DETERMINISTIC.contains(&crate_name);
     let wall_clock_ok = scopes::WALL_CLOCK_EXEMPT.contains(&crate_name);
-    let telemetry = scopes::TELEMETRY.contains(&crate_name);
+    let counters = scopes::COUNTERS.contains(&crate_name);
 
     let toks: &[Token] = &s.tokens;
     let mut findings: Vec<(usize, Rule, String)> = Vec::new();
@@ -435,13 +427,6 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
                 t.line,
                 Rule::NondetTime,
                 format!("{} is a wall-clock source; use SimTime", t.text),
-            ));
-        }
-        if telemetry && t.text == "emit" && prev == Some(".") && next == Some("(") {
-            findings.push((
-                t.line,
-                Rule::UnguardedTelemetry,
-                "bare .emit() call; use trace_ev! so a disabled trace never formats".into(),
             ));
         }
         if deterministic && UNORDERED_COLLECTIONS.contains(&t.text.as_str()) {
@@ -513,7 +498,7 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
 
     // ---- counter-balance facts -----------------------------------
     let mut counter_incs = Vec::new();
-    if telemetry {
+    if counters {
         for (i, t) in toks.iter().enumerate() {
             if t.in_test || !is_ident(&t.text) {
                 continue;
@@ -779,21 +764,6 @@ mod tests {
         assert_eq!(v.len(), 2, "one finding per line: {v:?}");
         assert!(v.iter().all(|x| x.rule == Rule::UnorderedCollection));
         assert!(lint_source("coherence", "f.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bare_emit_flagged_in_telemetry_crates() {
-        let src = "fn f(t: &mut Trace) { t.emit(now, \"nic.rx\", format!(\"x\")); }";
-        let v = lint_source("rpc", "f.rs", src);
-        assert_eq!(rules_of(&v), vec![Rule::UnguardedTelemetry]);
-        assert!(lint_source("sim", "f.rs", src).is_empty(), "sim is exempt");
-        assert!(lint_source("bench", "f.rs", src).is_empty());
-    }
-
-    #[test]
-    fn trace_ev_macro_use_is_fine() {
-        let src = "fn f(t: &mut Trace) { trace_ev!(t, now, \"nic.rx\", \"pkt {}\", 1); }";
-        assert!(lint_source("rpc", "f.rs", src).is_empty());
     }
 
     #[test]

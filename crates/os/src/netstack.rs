@@ -4,7 +4,7 @@
 //! "normal task scheduling" side of Figure 5): everything between the
 //! NIC's interrupt (step 4) and the application's `recvmsg` returning
 //! (steps 5–10). Each segment is attributed to a paper step so the
-//! `fig1_steps` experiment can print the breakdown table.
+//! `F1` experiment can print the breakdown table.
 
 use std::collections::VecDeque;
 

@@ -37,7 +37,7 @@ use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::fault::{FaultDecision, NicFaultKind, NicFaultSpec};
-use lauberhorn_sim::{trace_ev, EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage, Trace};
+use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage};
 
 use crate::report::Report;
 use crate::spec::{Behavior, ServiceSpec, WorkloadSpec};
@@ -196,7 +196,6 @@ pub struct LauberhornSim {
     common: StackCommon,
     record_responses: bool,
     server_addr: EndpointAddr,
-    trace: Trace,
     /// Requests whose handler was killed by an injected crash: their
     /// pending `HandlerDone` events must be ignored.
     crashed: BTreeSet<u64>,
@@ -318,7 +317,6 @@ impl LauberhornSim {
             common: StackCommon::new(cfg.wire),
             record_responses: false,
             server_addr,
-            trace: Trace::disabled(),
             crashed: BTreeSet::new(),
             park_spans: vec![SpanId::NONE; cfg.cores],
             fault_tolerant: false,
@@ -336,17 +334,6 @@ impl LauberhornSim {
             actions: Vec::new(),
             cfg,
         }
-    }
-
-    /// Enables event tracing (§6's tracing/statistics integration),
-    /// retaining at most `cap` events.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Trace::enabled(cap);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Read access to the NIC (experiments inspect its stats).
@@ -456,19 +443,11 @@ impl LauberhornSim {
                     self.schedule_pump(at);
                 }
                 NicAction::Shed {
-                    reason,
                     request_id,
                     hint,
                     at,
                     ..
                 } => {
-                    trace_ev!(
-                        self.trace,
-                        at,
-                        "nic.shed",
-                        "request {request_id} shed ({}, hint {hint})",
-                        reason.label()
-                    );
                     // With pushback armed this NACKs the client (which
                     // paces via AIMD); otherwise it degrades to a drop.
                     self.common.shed_request(request_id, hint, at);
@@ -499,33 +478,15 @@ impl LauberhornSim {
             }
             FaultDecision::Drop | FaultDecision::Corrupt { .. } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} lost; fabric retry after {spike:?}"
-                );
                 self.q.schedule(at + spike, Ev::DoCompleteFill { token });
             }
             FaultDecision::Duplicate { gap } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} duplicated"
-                );
                 self.q.schedule(at, Ev::DoCompleteFill { token });
                 self.q.schedule(at + gap, Ev::DoCompleteFill { token });
             }
             FaultDecision::Delay { extra } => {
                 self.common.metrics.faults.fill_faults += 1;
-                trace_ev!(
-                    self.trace,
-                    at,
-                    "fault.fill",
-                    "fill for {token:?} delayed by {extra:?}"
-                );
                 self.q.schedule(at + extra, Ev::DoCompleteFill { token });
             }
         }
@@ -670,7 +631,6 @@ impl LauberhornSim {
         let (kind, request_id, n_aux, arg_len, service) = Self::parse_ctrl(&data);
         match kind {
             DispatchKind::TryAgain => {
-                trace_ev!(self.trace, now, "nic.tryagain", "core {core} unblocked");
                 self.coh.drop_line(CacheId(core), addr);
                 self.ctx_mut(core).tryagain_streak += 1;
                 let is_user = matches!(self.ctx(core).mode, LoopMode::User { .. });
@@ -707,7 +667,6 @@ impl LauberhornSim {
                 }
             }
             DispatchKind::Retire => {
-                trace_ev!(self.trace, now, "os.retire", "core {core} reallocated");
                 self.coh.drop_line(CacheId(core), addr);
                 let ret = self.enter_kernel_loop(core, now, None);
                 self.common
@@ -741,12 +700,6 @@ impl LauberhornSim {
                 }
                 if self.ctx(core).mode == LoopMode::Kernel {
                     // Figure 5 kernel path: switch into the process.
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "os.dispatch",
-                        "request {request_id} via kernel loop on core {core}"
-                    );
                     t = self.enter_user_loop(core, service, t);
                     sw += self.cost.sched_pick + self.cost.full_context_switch();
                     self.common.tracer.span(
@@ -758,12 +711,6 @@ impl LauberhornSim {
                         t,
                     );
                 } else {
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "nic.fastpath",
-                        "request {request_id} into parked core {core}"
-                    );
                     // User fast path: consume the dispatch form.
                     t = self.charge(core, t, self.cost.dispatch_form_consume, Some(request_id));
                     sw += self.cost.dispatch_form_consume;
@@ -980,12 +927,6 @@ impl LauberhornSim {
             }
             return;
         }
-        trace_ev!(
-            self.trace,
-            now,
-            "fault.crash",
-            "process for service {service} crashed on cores {victims:?}"
-        );
         // Tear the dead process's endpoints out of the demux table
         // first, so no new request is routed to it while the recovery
         // events are in flight.
@@ -1004,13 +945,6 @@ impl LauberhornSim {
             salvaged.extend(self.nic.drain_endpoint_queue(ep));
         }
         for (line, ctx) in salvaged {
-            trace_ev!(
-                self.trace,
-                now,
-                "fault.crash",
-                "request {} requeued to kernel endpoint",
-                ctx.request_id
-            );
             self.drive_nic(now, |nic, out| nic.redeliver_to_kernel(now, line, ctx, out));
         }
         for &core in &victims {
@@ -1043,7 +977,7 @@ impl LauberhornSim {
     // ---- NIC failure domain: injection, watchdog, degraded mode ----
 
     /// The armed NIC-internal fault strikes.
-    fn on_nic_fault(&mut self, now: SimTime) {
+    fn on_nic_fault(&mut self) {
         let Some(spec) = self.nic_fault else {
             return;
         };
@@ -1054,31 +988,13 @@ impl LauberhornSim {
             .map_or(0, |r| r.gen_range(0..4096));
         match spec.kind {
             NicFaultKind::TableCorrupt => {
-                let sid = self.nic.inject_table_fault(nth);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "SEU: demux entry for service {sid:?} fails ECC"
-                );
+                self.nic.inject_table_fault(nth);
             }
             NicFaultKind::StuckControlLine => {
-                let ep = self.nic.inject_stuck_line(nth);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "CONTROL line engine of endpoint {ep:?} wedged"
-                );
+                self.nic.inject_stuck_line(nth);
             }
             NicFaultKind::MirrorDesync => {
                 self.nic.inject_mirror_desync();
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "scheduler mirror lost the kernel's pushes"
-                );
             }
             NicFaultKind::Reset => {
                 // The protocol engines die. Fabric-addressable SRAM
@@ -1086,12 +1002,6 @@ impl LauberhornSim {
                 // out; the MAC asserts link-level flow control, so
                 // arriving frames wait instead of dropping.
                 self.nic_down = true;
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "fault.nic",
-                    "NIC protocol engines down; link paused"
-                );
             }
         }
     }
@@ -1181,12 +1091,6 @@ impl LauberhornSim {
     /// what they black-holed onto the kernel path), re-push scheduler
     /// ground truth after a mirror desync.
     fn repair(&mut self, health: NicHealth, now: SimTime) {
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "probe unhealthy ({health:?}): targeted repair"
-        );
         for sid in health.corrupted_services.clone() {
             self.reprogram_service(sid);
         }
@@ -1214,12 +1118,6 @@ impl LauberhornSim {
     /// fall back to the kernel loop instead of spinning on a dead
     /// device), clear the device, and schedule reconstruction.
     fn begin_reset_recovery(&mut self, now: SimTime) {
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "lease expired: controlled NIC reset, reconstructing from shadow"
-        );
         let salvage = self.nic.reset();
         self.recovery.lost_continuations += salvage.lost_continuations as u64;
         let line_size = self.coh.line_size();
@@ -1286,12 +1184,6 @@ impl LauberhornSim {
         if let Some(wd) = self.watchdog.as_mut() {
             wd.restored(now);
         }
-        trace_ev!(
-            self.trace,
-            now,
-            "os.watchdog",
-            "NIC reconstructed from shadow; degraded mode ends"
-        );
         // 5. Requeue salvaged in-flight requests on the kernel path
         // (PR 2's crash-recovery requeue, generalized to a whole-NIC
         // loss).
@@ -1359,11 +1251,6 @@ impl ServerStack for LauberhornSim {
         self.fault_tolerant = workload.faults.enabled();
         self.crashed.clear();
         self.park_spans = vec![SpanId::NONE; self.cfg.cores];
-        // The observability spec can switch on the narrative trace too
-        // (a manual `enable_trace` is left alone when the spec is off).
-        if workload.observe.trace_cap > 0 {
-            self.trace = Trace::enabled(workload.observe.trace_cap);
-        }
         // NIC-driven overload control: bound the queues, arm deadline
         // shedding and (optionally) fair admission across the tenants.
         if let Some(overload) = &workload.overload {
@@ -1440,23 +1327,10 @@ impl ServerStack for LauberhornSim {
         match ev {
             Ev::FrameAtNic { raw, request_id } => {
                 self.common.note_arrival(request_id, now);
-                trace_ev!(
-                    self.trace,
-                    now,
-                    "nic.rx",
-                    "request {request_id} ({} B frame)",
-                    raw.len()
-                );
                 // The NIC's line-rate parser checks the real IPv4/UDP
                 // checksums: a corrupted frame dies here, before any
                 // endpoint state is touched.
                 if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
-                    trace_ev!(
-                        self.trace,
-                        now,
-                        "fault.wire",
-                        "request {request_id} failed checksum at NIC"
-                    );
                     self.common.reject_corrupt(request_id, now);
                     return;
                 }
@@ -1537,7 +1411,7 @@ impl ServerStack for LauberhornSim {
                 self.on_crash(service, tries, now);
             }
             Ev::NicFault => {
-                self.on_nic_fault(now);
+                self.on_nic_fault();
             }
             Ev::Heartbeat => {
                 self.on_heartbeat(now);

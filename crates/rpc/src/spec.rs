@@ -163,7 +163,7 @@ pub struct WorkloadSpec {
     /// lost requests are detected (and counted dropped) but not
     /// retried; see [`crate::wire::RetryPolicy::give_up_after`].
     pub retry: Option<RetryPolicy>,
-    /// Observability: span tracing and the narrative trace. Defaults
+    /// Observability: span tracing and the flight recorder. Defaults
     /// to [`ObserveSpec::none`]; enabling it must not change any
     /// report digest (the zero-perturbation guarantee, enforced by the
     /// tier-1 `observability` test).
@@ -240,7 +240,7 @@ impl WorkloadSpec {
         self
     }
 
-    /// Enables observability (spans and/or narrative trace).
+    /// Enables observability (spans and/or the flight recorder).
     pub fn with_observe(mut self, observe: ObserveSpec) -> Self {
         self.observe = observe;
         self

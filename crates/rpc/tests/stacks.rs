@@ -125,11 +125,11 @@ fn open_loop_all_stacks_sustain_moderate_load() {
 #[test]
 fn trace_records_the_interesting_events() {
     use lauberhorn_rpc::spec::LoadMode;
-    use lauberhorn_sim::SimDuration;
+    use lauberhorn_rpc::ServerStack;
+    use lauberhorn_sim::{SimDuration, Stage};
     use lauberhorn_workload::{ArrivalProcess, DynamicMix};
 
     let mut sim = LauberhornSim::new(LauberhornSimConfig::enzian(2), services_one());
-    sim.enable_trace(10_000);
     // Deterministic sparse arrivals so TRYAGAINs fire too.
     let wl = lauberhorn_rpc::WorkloadSpec {
         mode: LoadMode::Open {
@@ -144,24 +144,18 @@ fn trace_records_the_interesting_events() {
         warmup: 0,
         faults: Default::default(),
         retry: None,
-        observe: lauberhorn_sim::ObserveSpec::none(),
+        observe: lauberhorn_sim::ObserveSpec::spans(10_000),
         overload: None,
     };
     sim.run(&wl);
-    let trace = sim.trace();
-    assert!(trace.filter("nic.rx").count() > 5, "rx events recorded");
+    let spans = sim.common().tracer.spans();
+    let count = |stage: Stage| spans.iter().filter(|s| s.stage == stage).count();
+    assert!(count(Stage::Request) > 5, "request spans recorded");
     assert!(
-        trace.filter("os.dispatch").count() + trace.filter("nic.fastpath").count() > 5,
-        "dispatch events recorded"
+        count(Stage::KernelDispatch) + count(Stage::FastDispatch) > 5,
+        "dispatch spans recorded"
     );
-    assert!(
-        trace.filter("nic.tryagain").count() > 0,
-        "tryagain events recorded:\n{}",
-        trace.render()
-    );
-    // Rendered lines are timestamped and categorised.
-    let rendered = trace.render();
-    assert!(rendered.contains("nic.rx"));
+    assert!(count(Stage::TryAgain) > 0, "tryagain spans recorded");
 }
 
 #[test]

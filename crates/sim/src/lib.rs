@@ -28,7 +28,6 @@ pub mod span;
 pub mod stats;
 pub mod tenancy;
 pub mod time;
-pub mod trace;
 
 pub use critpath::{
     blame_table, critical_paths, tenant_queueing_table, BlameClass, BlameProfile, CritPath, Segment,
@@ -47,4 +46,3 @@ pub use span::{ObserveSpec, SpanId, SpanRecord, SpanTracer, Stage};
 pub use stats::{Histogram, Summary};
 pub use tenancy::{DeadlineClass, DrrScheduler, TenancyConfig, TenantSpec, TokenBucket};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};

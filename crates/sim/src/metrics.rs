@@ -103,7 +103,7 @@ impl MetricsRegistry {
         parts.join(" ")
     }
 
-    /// A full multi-line rendering (the `profile` bin's metrics dump).
+    /// A full multi-line rendering (the `PROFILE` experiment's metrics dump).
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {

@@ -2,11 +2,10 @@
 //!
 //! The paper's Figure 1 is a latency-attribution claim — twelve named
 //! steps between "packet arrives" and "handler runs" — and Figure 3
-//! names the Lauberhorn fast-path stages that replace them. The string
-//! [`crate::trace::Trace`] can narrate a run, but it cannot *measure*
-//! it: this module provides typed spans ([`Stage`], [`SpanRecord`])
-//! with parent links and per-request ids, so every stack yields a
-//! machine-readable per-stage breakdown.
+//! names the Lauberhorn fast-path stages that replace them. This module
+//! provides typed spans ([`Stage`], [`SpanRecord`]) with parent links
+//! and per-request ids, so every stack yields a machine-readable
+//! per-stage breakdown.
 //!
 //! Design rules (the zero-perturbation guarantee):
 //!
@@ -36,8 +35,6 @@ pub struct ObserveSpec {
     pub spans: bool,
     /// Maximum spans retained before new ones are counted dropped.
     pub span_cap: usize,
-    /// String-trace cap; `0` leaves the narrative trace disabled.
-    pub trace_cap: usize,
     /// Arm the outlier flight recorder: completed requests' span trees
     /// are harvested out of the tracer and recycled unless their
     /// latency crosses the running p99 estimate (see
@@ -53,19 +50,17 @@ impl ObserveSpec {
         ObserveSpec {
             spans: false,
             span_cap: 0,
-            trace_cap: 0,
             flightrec: false,
             flight_cap: 0,
         }
     }
 
-    /// Full observation: spans and the narrative trace, generously
-    /// capped. Used by `profile` and the zero-perturbation test.
+    /// Full observation: spans, generously capped. Used by the
+    /// `PROFILE` experiment and the zero-perturbation test.
     pub fn full() -> Self {
         ObserveSpec {
             spans: true,
             span_cap: 1 << 20,
-            trace_cap: 1 << 16,
             flightrec: false,
             flight_cap: 0,
         }
@@ -76,7 +71,6 @@ impl ObserveSpec {
         ObserveSpec {
             spans: true,
             span_cap: cap,
-            trace_cap: 0,
             flightrec: false,
             flight_cap: 0,
         }
@@ -91,7 +85,6 @@ impl ObserveSpec {
             // The working set only needs to hold *in-flight* requests'
             // spans; completed trees recycle their slots.
             span_cap: 1 << 20,
-            trace_cap: 0,
             flightrec: true,
             flight_cap: outliers,
         }
