@@ -29,7 +29,10 @@ fn main() {
     .iter()
     .flat_map(|&stack| {
         (0..4u64).map(move |seed| {
-            SweepPoint::new(stack, WorkloadSpec::echo_closed(64, 2, seed)).cores(2)
+            SweepPoint::new(
+                Experiment::new(stack).cores(2),
+                WorkloadSpec::echo_closed(64, 2, seed),
+            )
         })
     })
     .collect();

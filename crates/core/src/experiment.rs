@@ -161,9 +161,12 @@ pub fn replicate_p50_us(
         .map(|&seed| {
             let mut wl = workload.clone();
             wl.seed = seed;
-            crate::sweep::SweepPoint::new(stack, wl)
-                .cores(cores)
-                .services(services.clone())
+            crate::sweep::SweepPoint::new(
+                Experiment::new(stack)
+                    .cores(cores)
+                    .services(services.clone()),
+                wl,
+            )
         })
         .collect();
     let samples: Vec<f64> = crate::sweep::run_parallel(&points, 0)
@@ -187,9 +190,10 @@ pub fn compare(
     let points: Vec<crate::sweep::SweepPoint> = stacks
         .iter()
         .map(|&s| {
-            crate::sweep::SweepPoint::new(s, workload.clone())
-                .cores(cores)
-                .services(services.clone())
+            crate::sweep::SweepPoint::new(
+                Experiment::new(s).cores(cores).services(services.clone()),
+                workload.clone(),
+            )
         })
         .collect();
     crate::sweep::run_parallel(&points, 0)

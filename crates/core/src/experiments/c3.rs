@@ -7,7 +7,7 @@
 //! quantitative form of "reduce the CPU cycle overhead of a small RPC
 //! call to essentially zero" plus "no energy wasted in spinning".
 
-use crate::experiment::StackKind;
+use crate::experiment::{Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
 
@@ -43,11 +43,10 @@ pub fn run(seed: u64) -> Vec<Point> {
                 seed,
             );
             wl.warmup = 50;
-            points.push(
-                SweepPoint::new(stack, wl)
-                    .cores(2)
-                    .services(services.clone()),
-            );
+            points.push(SweepPoint::new(
+                Experiment::new(stack).cores(2).services(services.clone()),
+                wl,
+            ));
         }
     }
     let mut reports = sweep::run_parallel(&points, 0).into_iter();

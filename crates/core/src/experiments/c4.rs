@@ -9,7 +9,7 @@
 //! services by taking one kernel-loop dispatch, then serve from the
 //! user loop.
 
-use crate::experiment::StackKind;
+use crate::experiment::{Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::spec::LoadMode;
 use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
@@ -96,10 +96,13 @@ pub fn run(p: C4Params, seed: u64) -> Vec<Contender> {
     let points: Vec<SweepPoint> = contenders
         .iter()
         .map(|&(_, stack, rebind)| {
-            SweepPoint::new(stack, wl.clone())
-                .cores(p.cores)
-                .services(services.clone())
-                .rebind_on_epoch(rebind)
+            SweepPoint::new(
+                Experiment::new(stack)
+                    .cores(p.cores)
+                    .services(services.clone())
+                    .rebind_on_epoch(rebind),
+                wl.clone(),
+            )
         })
         .collect();
     contenders

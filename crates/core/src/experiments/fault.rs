@@ -17,7 +17,7 @@
 //! * tail latency degrades smoothly with the loss rate (retransmission
 //!   timeouts, not collapse).
 
-use crate::experiment::StackKind;
+use crate::experiment::{Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::{Report, RetryPolicy, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::fault::FaultPlan;
@@ -81,11 +81,10 @@ pub fn run_scaled(seed: u64, scale: u64) -> Vec<FaultPoint> {
     let mut points = Vec::with_capacity(STACKS.len() * LOSS_RATES.len());
     for &stack in &STACKS {
         for &loss in &LOSS_RATES {
-            points.push(
-                SweepPoint::new(stack, workload(loss, seed, DURATION_MS * scale.max(1)))
-                    .cores(2)
-                    .services(services.clone()),
-            );
+            points.push(SweepPoint::new(
+                Experiment::new(stack).cores(2).services(services.clone()),
+                workload(loss, seed, DURATION_MS * scale.max(1)),
+            ));
         }
     }
     let reports = sweep::run_parallel(&points, 0);
@@ -148,7 +147,6 @@ pub fn render(points: &[FaultPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Experiment;
 
     #[test]
     fn low_loss_keeps_goodput_and_at_most_once() {

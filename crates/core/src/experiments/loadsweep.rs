@@ -11,7 +11,7 @@
 //! * the kernel stack's knee arrives earliest (its per-request cycles
 //!   saturate the cores first).
 
-use crate::experiment::StackKind;
+use crate::experiment::{Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
 use lauberhorn_workload::SizeDist;
@@ -94,11 +94,10 @@ pub fn run_scaled(seed: u64, scale: u64) -> Vec<Curve> {
                 seed,
             );
             wl.warmup = 100;
-            points.push(
-                SweepPoint::new(stack, wl)
-                    .cores(2)
-                    .services(services.clone()),
-            );
+            points.push(SweepPoint::new(
+                Experiment::new(stack).cores(2).services(services.clone()),
+                wl,
+            ));
         }
     }
     let mut reports = sweep::run_parallel(&points, 0).into_iter();

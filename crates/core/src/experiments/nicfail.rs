@@ -190,9 +190,10 @@ pub fn run_scaled(seed: u64, scale: u64) -> NicfailSweep {
     let points: Vec<SweepPoint> = ARMS
         .iter()
         .map(|&arm| {
-            SweepPoint::new(STACK, workload_for(rate, arm, seed, duration_ms))
-                .cores(CORES)
-                .services(services())
+            SweepPoint::new(
+                Experiment::new(STACK).cores(CORES).services(services()),
+                workload_for(rate, arm, seed, duration_ms),
+            )
         })
         .collect();
     let reports = sweep::run_parallel(&points, 0);

@@ -233,28 +233,25 @@ pub fn run_scaled(seed: u64, scale: u64) -> OverloadSweep {
                 } else {
                     OverloadConfig::unbounded_baseline()
                 };
-                points.push(
-                    SweepPoint::new(stack, workload_for(cap * m, cfg, seed, duration_ms))
-                        .cores(2)
-                        .services(services()),
-                );
+                points.push(SweepPoint::new(
+                    Experiment::new(stack).cores(2).services(services()),
+                    workload_for(cap * m, cfg, seed, duration_ms),
+                ));
             }
         }
     }
     let lb_cap = capacity[0].1;
-    points.push(
-        SweepPoint::new(
-            StackKind::LauberhornCxl,
-            workload_for(
-                lb_cap * FAIRNESS_MULTIPLIER,
-                fairness_config(),
-                seed,
-                duration_ms,
-            ),
-        )
-        .cores(2)
-        .services(services()),
-    );
+    points.push(SweepPoint::new(
+        Experiment::new(StackKind::LauberhornCxl)
+            .cores(2)
+            .services(services()),
+        workload_for(
+            lb_cap * FAIRNESS_MULTIPLIER,
+            fairness_config(),
+            seed,
+            duration_ms,
+        ),
+    ));
     let reports = sweep::run_parallel(&points, 0);
     let mut it = reports.into_iter();
     let mut out = Vec::with_capacity(points.len());

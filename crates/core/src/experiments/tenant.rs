@@ -252,14 +252,10 @@ pub fn run_scaled(seed: u64, scale: u64) -> TenantSweep {
     let mut points = Vec::new();
     for &storm in &STORMS {
         for isolation in [false, true] {
-            points.push(
-                SweepPoint::new(
-                    STACK,
-                    workload(storm, isolation, base_rate_rps, seed, duration_ms),
-                )
-                .cores(CORES)
-                .services(services()),
-            );
+            points.push(SweepPoint::new(
+                Experiment::new(STACK).cores(CORES).services(services()),
+                workload(storm, isolation, base_rate_rps, seed, duration_ms),
+            ));
         }
     }
     let reports = sweep::run_parallel(&points, 0);

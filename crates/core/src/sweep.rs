@@ -12,63 +12,32 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{Report, WorkloadSpec};
 
-use crate::experiment::{Experiment, StackKind};
+use crate::experiment::Experiment;
 
-/// One point of a sweep: a stack, a workload, and the machine shape.
+/// One point of a sweep: a configured experiment (stack and machine
+/// shape) and the workload to offer it.
 #[derive(Clone)]
 pub struct SweepPoint {
-    /// The stack under test.
-    pub stack: StackKind,
+    /// The stack under test and its machine shape.
+    pub experiment: Experiment,
     /// The workload to offer it.
     pub workload: WorkloadSpec,
-    /// Server cores.
-    pub cores: usize,
-    /// Registered services.
-    pub services: Vec<ServiceSpec>,
-    /// For bypass stacks: rebind the hot set at every mix epoch.
-    pub rebind_on_epoch: bool,
 }
 
 impl SweepPoint {
-    /// A point with the default machine shape (two cores, one echo
-    /// service), like [`Experiment::new`].
-    pub fn new(stack: StackKind, workload: WorkloadSpec) -> Self {
+    /// A point running `workload` on `experiment`.
+    pub fn new(experiment: Experiment, workload: WorkloadSpec) -> Self {
         SweepPoint {
-            stack,
+            experiment,
             workload,
-            cores: 2,
-            services: ServiceSpec::uniform(1, 1000, 32),
-            rebind_on_epoch: false,
         }
-    }
-
-    /// Sets the number of server cores.
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Replaces the service set.
-    pub fn services(mut self, services: Vec<ServiceSpec>) -> Self {
-        self.services = services;
-        self
-    }
-
-    /// For bypass stacks: rebind the hot set at every mix epoch.
-    pub fn rebind_on_epoch(mut self, yes: bool) -> Self {
-        self.rebind_on_epoch = yes;
-        self
     }
 
     /// Runs this point in isolation.
     pub fn run(&self) -> Report {
-        Experiment::new(self.stack)
-            .cores(self.cores)
-            .services(self.services.clone())
-            .rebind_on_epoch(self.rebind_on_epoch)
-            .run(&self.workload)
+        self.experiment.run(&self.workload)
     }
 }
 
@@ -120,13 +89,14 @@ pub fn run_parallel(points: &[SweepPoint], threads: usize) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::StackKind;
 
     #[test]
     fn parallel_preserves_point_order() {
         let points: Vec<SweepPoint> = (0..6)
             .map(|seed| {
                 SweepPoint::new(
-                    StackKind::LauberhornEnzian,
+                    Experiment::new(StackKind::LauberhornEnzian),
                     WorkloadSpec::echo_closed(64, 1, seed),
                 )
             })
@@ -142,7 +112,7 @@ mod tests {
     #[test]
     fn zero_threads_means_all_cores() {
         let points = [SweepPoint::new(
-            StackKind::KernelModern,
+            Experiment::new(StackKind::KernelModern),
             WorkloadSpec::echo_closed(32, 1, 9),
         )];
         let reports = run_parallel(&points, 0);

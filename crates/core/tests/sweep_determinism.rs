@@ -31,10 +31,10 @@ fn mixed_points() -> Vec<SweepPoint> {
     {
         // Two points per stack: a closed-loop echo and an open Poisson
         // stream, distinct seeds so no two points share a trajectory.
-        points.push(
-            SweepPoint::new(stack, WorkloadSpec::echo_closed(64, 2, 100 + i as u64))
-                .services(ServiceSpec::uniform(2, 1000, 32)),
-        );
+        points.push(SweepPoint::new(
+            Experiment::new(stack).services(ServiceSpec::uniform(2, 1000, 32)),
+            WorkloadSpec::echo_closed(64, 2, 100 + i as u64),
+        ));
         let mut wl = WorkloadSpec::open_poisson(
             60_000.0,
             2,
@@ -44,11 +44,12 @@ fn mixed_points() -> Vec<SweepPoint> {
             200 + i as u64,
         );
         wl.warmup = 50;
-        points.push(
-            SweepPoint::new(stack, wl)
+        points.push(SweepPoint::new(
+            Experiment::new(stack)
                 .cores(2)
                 .services(ServiceSpec::uniform(2, 1000, 32)),
-        );
+            wl,
+        ));
     }
     points
 }
@@ -89,11 +90,12 @@ fn faulty_points() -> Vec<SweepPoint> {
         );
         wl.warmup = 50;
         let wl = wl.with_faults(plan).with_retry(RetryPolicy::same_rack());
-        points.push(
-            SweepPoint::new(stack, wl)
+        points.push(SweepPoint::new(
+            Experiment::new(stack)
                 .cores(2)
                 .services(ServiceSpec::uniform(2, 1000, 32)),
-        );
+            wl,
+        ));
     }
     points
 }
@@ -109,7 +111,7 @@ fn serial_equals_parallel() {
             format!("{s:?}"),
             format!("{p:?}"),
             "point {i} ({}) differs between serial and parallel runs",
-            points[i].stack.name()
+            s.stack
         );
     }
 }
@@ -143,7 +145,7 @@ fn fault_injected_serial_equals_parallel() {
             format!("{s:?}"),
             format!("{p:?}"),
             "point {i} ({}) differs between serial and parallel runs under faults",
-            points[i].stack.name()
+            s.stack
         );
     }
 }

@@ -37,8 +37,9 @@ use crate::rules::{Rule, Violation};
 use crate::scan::{scan, Token};
 
 /// Which implementation file a source plays the part of. The roles
-/// let tests substitute a fixture (e.g. a drifted endpoint) for one
-/// file while keeping the rest of the real tree.
+/// let tests substitute a mutant (e.g. `endpoint.rs` with
+/// `on_timeout` gutted) for one file while keeping the rest of the
+/// real tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// `crates/nic-lauberhorn/src/nic.rs`

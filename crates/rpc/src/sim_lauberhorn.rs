@@ -190,9 +190,6 @@ pub struct LauberhornSim {
     cores: Vec<CoreCtx>,
     user_eps: BTreeMap<(u16, usize), (EndpointId, EndpointLayout)>,
     q: EventQueue<Ev>,
-    /// Same-timestamp events drained in one [`EventQueue::pop_batch`],
-    /// held in *reverse* delivery order so `step` pops from the back.
-    batch: Vec<(SimTime, Ev)>,
     common: StackCommon,
     record_responses: bool,
     server_addr: EndpointAddr,
@@ -313,7 +310,6 @@ impl LauberhornSim {
             cores,
             user_eps: BTreeMap::new(),
             q: EventQueue::new(),
-            batch: Vec::new(),
             common: StackCommon::new(cfg.wire),
             record_responses: false,
             server_addr,
@@ -1246,7 +1242,6 @@ impl ServerStack for LauberhornSim {
     }
 
     fn prepare(&mut self, workload: &WorkloadSpec) {
-        self.batch.clear();
         self.record_responses = workload.record_responses;
         self.fault_tolerant = workload.faults.enabled();
         self.crashed.clear();
@@ -1305,23 +1300,11 @@ impl ServerStack for LauberhornSim {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        match self.batch.last() {
-            Some((t, _)) => Some(*t),
-            None => self.q.peek_time(),
-        }
+        self.q.peek_time()
     }
 
     fn step(&mut self, _workload: &WorkloadSpec) {
-        // Batched delivery: drain every event at the current timestamp
-        // in one queue operation, then feed them to the handlers one by
-        // one. Events the handlers schedule at the same timestamp carry
-        // higher sequence numbers, so consuming the drained run first
-        // is exactly the one-`pop`-at-a-time order.
-        if self.batch.is_empty() {
-            self.q.pop_batch(&mut self.batch);
-            self.batch.reverse();
-        }
-        let Some((now, ev)) = self.batch.pop() else {
+        let Some((now, ev)) = self.q.pop() else {
             return;
         };
         match ev {

@@ -143,9 +143,10 @@ fn timer_wheel_matches_reference_queue_event_for_event() {
     // distances and far-future calendar times.
     //
     // Peeks without a pop, scheduling right after a peek, cancelling a
-    // peeked head, batch pops and compaction sweeps all probe the
-    // wheel's settled head: the proof that the ready head is minimal,
-    // which must be dropped exactly when that head leaves `ready`.
+    // peeked head, same-time pop runs and compaction sweeps all probe
+    // the wheel's settled head: the proof that the ready head is
+    // minimal, which must be dropped exactly when that head leaves
+    // `ready`.
     for case in 0..200 * scale() {
         let mut rng = SimRng::stream(case, "pq-diff");
         let mut q = Lockstep {
@@ -192,20 +193,19 @@ fn timer_wheel_matches_reference_queue_event_for_event() {
                     }
                     q.peek(case);
                 }
-                // Batch pop against reference pops at one timestamp.
+                // Pop a whole same-timestamp run, `pop` against
+                // reference `pop`.
                 13 => {
-                    let mut batch = Vec::new();
-                    let n = q.wheel.pop_batch(&mut batch);
-                    let mut expect = Vec::new();
-                    if let Some(t0) = q.reference.peek_time() {
-                        while q.reference.peek_time() == Some(t0) {
-                            expect.extend(q.reference.pop());
-                        }
-                    }
-                    assert_eq!(batch, expect, "case {case}: pop_batch diverged");
-                    assert_eq!(n, expect.len());
-                    for (_, key) in batch {
+                    let t0 = q.reference.peek_time();
+                    loop {
+                        let w = q.wheel.pop();
+                        let r = q.reference.pop();
+                        assert_eq!(w, r, "case {case}: same-time run diverged");
+                        let Some((_, key)) = w else { break };
                         q.retire(key);
+                        if q.reference.peek_time() != t0 {
+                            break;
+                        }
                     }
                 }
                 // Peek, cancel the head, then schedule and cancel
