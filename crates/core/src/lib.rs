@@ -21,8 +21,8 @@
 //! * [`pcie`] — MMIO/DMA/MSI-X/IOMMU models for the DMA baseline.
 //! * [`nic_dma`] — the traditional descriptor-ring NIC (Figure 1).
 //! * [`nic`] — the Lauberhorn NIC: demux, deserialization offload,
-//!   CONTROL/AUX endpoints, TRYAGAIN/RETIRE, scheduler mirror, load
-//!   stats, DMA fallback, continuations (Figures 3 and 4).
+//!   CONTROL/AUX endpoints, TRYAGAIN/RETIRE, scheduler mirror, DMA
+//!   fallback, continuations (Figures 3 and 4).
 //! * [`os`] — processes, the CFS-like scheduler, kernel path costs.
 //! * [`baseline`] — the kernel-bypass control plane (flow director,
 //!   bindings).

@@ -1,9 +1,8 @@
 //! The composed Lauberhorn NIC.
 //!
 //! [`LauberhornNic`] owns all device-resident state — demux tables,
-//! endpoint protocol engines, the scheduler mirror, load statistics,
-//! continuations — and exposes three event entry points the machine
-//! simulation drives:
+//! endpoint protocol engines, the scheduler mirror, continuations —
+//! and exposes three event entry points the machine simulation drives:
 //!
 //! * [`LauberhornNic::on_core_load`] — a core's load on a device-homed
 //!   line was parked by the coherence system,
@@ -35,7 +34,6 @@ use crate::endpoint::{
     Effect, Endpoint, EndpointId, EndpointLayout, LineRole, RequestCtx, RequestOutcome,
 };
 use crate::large::LargeTransferModel;
-use crate::load::{Advice, LoadTracker};
 use crate::sched_mirror::SchedMirror;
 use crate::tenancy::{PipelineExit, RateLimited, TenantPipeline};
 
@@ -213,15 +211,6 @@ pub enum NicAction {
         /// When the request is raised.
         at: SimTime,
     },
-    /// The NIC's load statistics recommend rescheduling (§5.2).
-    ScaleHint {
-        /// Service concerned.
-        service: u16,
-        /// Recommendation.
-        advice: Advice,
-        /// When issued.
-        at: SimTime,
-    },
     /// Frame dropped.
     Dropped {
         /// Why.
@@ -358,7 +347,6 @@ pub struct LauberhornNic {
     /// produced (for cross-endpoint collection, Figure 5 lifecycle).
     pending_response_by_core: FastMap<usize, EndpointId>,
     mirror: SchedMirror,
-    load: LoadTracker,
     conts: ContinuationTable,
     kernel_eps: Vec<Option<EndpointId>>,
     next_ep: u32,
@@ -380,7 +368,7 @@ pub struct LauberhornNic {
 
 impl LauberhornNic {
     /// Creates the NIC for a machine with `num_cores` cores.
-    pub fn new(cfg: LauberhornNicConfig, num_cores: usize, core_capacity_rps: f64) -> Self {
+    pub fn new(cfg: LauberhornNicConfig, num_cores: usize) -> Self {
         LauberhornNic {
             alloc_cursor: cfg.device_base,
             dma_cursor: cfg.dma_buffer_base,
@@ -391,7 +379,6 @@ impl LauberhornNic {
             parked_core: FastMap::default(),
             pending_response_by_core: FastMap::default(),
             mirror: SchedMirror::new(num_cores),
-            load: LoadTracker::new(core_capacity_rps),
             conts: ContinuationTable::new(4096),
             kernel_eps: vec![None; num_cores],
             next_ep: 0,
@@ -510,11 +497,6 @@ impl LauberhornNic {
         &self.mirror
     }
 
-    /// The load tracker (read access for experiments).
-    pub fn load(&self) -> &LoadTracker {
-        &self.load
-    }
-
     /// The continuation table.
     pub fn continuations_mut(&mut self) -> &mut ContinuationTable {
         &mut self.conts
@@ -543,10 +525,25 @@ impl LauberhornNic {
             line_size: self.cfg.line_size,
             n_aux: self.cfg.n_aux,
         };
+        self.alloc_cursor += (layout.total_lines() * self.cfg.line_size) as u64;
+        self.install_endpoint(id, process, layout, mode);
+        (id, layout)
+    }
+
+    /// Installs endpoint `id` at `layout`: indexes its address range,
+    /// builds its protocol engine (with the overload deadline when
+    /// armed) and records its mode; a kernel endpoint also takes its
+    /// core's dispatch slot. Shared by allocation and reset restore.
+    fn install_endpoint(
+        &mut self,
+        id: EndpointId,
+        process: ProcessId,
+        layout: EndpointLayout,
+        mode: EpMode,
+    ) {
         let span = (layout.total_lines() * self.cfg.line_size) as u64;
         self.addr_index
-            .push((self.alloc_cursor, self.alloc_cursor + span, id));
-        self.alloc_cursor += span;
+            .push((layout.base.0, layout.base.0 + span, id));
         let mut ep = Endpoint::with_timeout(
             id,
             process,
@@ -558,8 +555,12 @@ impl LauberhornNic {
             ep.set_deadline(adm.config().deadline);
         }
         self.endpoints.insert(id, ep);
+        if let EpMode::Kernel { core } = mode {
+            if let Some(slot) = self.kernel_eps.get_mut(core) {
+                *slot = Some(id);
+            }
+        }
         self.modes.insert(id, mode);
-        (id, layout)
     }
 
     /// Creates a user-mode endpoint for `process`.
@@ -570,11 +571,7 @@ impl LauberhornNic {
     /// Creates the kernel-mode endpoint for `core` (Figure 5's
     /// dispatch-loop channel).
     pub fn create_kernel_endpoint(&mut self, core: usize) -> (EndpointId, EndpointLayout) {
-        let (id, layout) = self.alloc_endpoint(ProcessId(u32::MAX), EpMode::Kernel { core });
-        if let Some(slot) = self.kernel_eps.get_mut(core) {
-            *slot = Some(id);
-        }
-        (id, layout)
+        self.alloc_endpoint(ProcessId(u32::MAX), EpMode::Kernel { core })
     }
 
     /// The endpoint covering `addr`, with the line's role.
@@ -655,11 +652,6 @@ impl LauberhornNic {
     /// [`crate::sched_mirror::MIRROR_PUSH_COST`], charged by the caller).
     pub fn push_running(&mut self, core: usize, process: Option<ProcessId>, now: SimTime) {
         self.mirror.set_running(core, process, now);
-    }
-
-    /// The OS tells the load tracker how many cores serve `service`.
-    pub fn set_service_cores(&mut self, service: u16, cores: usize) {
-        self.load.set_cores(service, cores);
     }
 
     /// Turns the endpoint effects collected in `self.fx` (from endpoint
@@ -1125,7 +1117,6 @@ impl LauberhornNic {
         };
         t += self.deser_time(wire_payload.len());
         self.stats.rx_requests += 1;
-        self.load.record_arrival(header.service_id, t);
         // Weighted max-min fair admission (overload control): under
         // congestion, a service pulling more than its fair share of the
         // admission window is shed before it can occupy a queue slot.
@@ -1198,12 +1189,11 @@ impl LauberhornNic {
                     self.stats.fast_path += 1;
                     return self.map_effects(id, t, None, out);
                 }
-                RequestOutcome::Queued { depth } => {
+                RequestOutcome::Queued { .. } => {
                     // A wedged line engine (stuck-line fault) holds a
                     // parked fill it cannot answer: the request queues
                     // behind it until the watchdog repairs the line.
                     self.stats.queued_user += 1;
-                    self.load.record_queue_depth(header.service_id, depth);
                     return;
                 }
                 RequestOutcome::Rejected(..) => {
@@ -1232,17 +1222,8 @@ impl LauberhornNic {
                 && !self.mirror.kernel_pollers().is_empty();
             if !scale_out {
                 match Self::offer(&mut self.endpoints, &mut self.fx, id, (line, ctx), t) {
-                    RequestOutcome::Queued { depth } => {
+                    RequestOutcome::Queued { .. } => {
                         self.stats.queued_user += 1;
-                        self.load.record_queue_depth(header.service_id, depth);
-                        let advice = self.load.advice(header.service_id);
-                        if advice != Advice::Hold {
-                            out.push(NicAction::ScaleHint {
-                                service: header.service_id,
-                                advice,
-                                at: t,
-                            });
-                        }
                         return;
                     }
                     RequestOutcome::DeliveredToParked => {
@@ -1318,9 +1299,8 @@ impl LauberhornNic {
         }) {
             if let Some(ep) = self.endpoints.get_mut(&id) {
                 match ep.on_request(line, ctx, t, &mut self.fx) {
-                    RequestOutcome::Queued { depth } => {
+                    RequestOutcome::Queued { .. } => {
                         self.stats.queued_user += 1;
-                        self.load.record_queue_depth(header.service_id, depth);
                         return;
                     }
                     RequestOutcome::DeliveredToParked => {
@@ -1620,30 +1600,11 @@ impl LauberhornNic {
         layout: EndpointLayout,
         kernel_core: Option<usize>,
     ) {
-        let span = (layout.total_lines() * self.cfg.line_size) as u64;
-        self.addr_index
-            .push((layout.base.0, layout.base.0 + span, id));
-        let mut ep = Endpoint::with_timeout(
-            id,
-            process,
-            layout,
-            self.cfg.endpoint_queue_cap,
-            self.cfg.tryagain_timeout,
-        );
-        if let Some(adm) = &self.admission {
-            ep.set_deadline(adm.config().deadline);
-        }
-        self.endpoints.insert(id, ep);
         let mode = match kernel_core {
-            Some(core) => {
-                if let Some(slot) = self.kernel_eps.get_mut(core) {
-                    *slot = Some(id);
-                }
-                EpMode::Kernel { core }
-            }
+            Some(core) => EpMode::Kernel { core },
             None => EpMode::User,
         };
-        self.modes.insert(id, mode);
+        self.install_endpoint(id, process, layout, mode);
         // The id allocator must stay ahead of every restored id so
         // future endpoints never collide.
         self.next_ep = self.next_ep.max(id.0 + 1);
@@ -1686,7 +1647,6 @@ mod tests {
         let mut n = LauberhornNic::new(
             LauberhornNicConfig::enzian(EndpointAddr::host(100, 9000)),
             4,
-            100_000.0,
         );
         n.demux_mut().register_service(1, ProcessId(10));
         n.demux_mut()
@@ -1826,6 +1786,33 @@ mod tests {
         assert!(acts.is_empty(), "queued silently: {acts:?}");
         assert_eq!(n.stats().queued_user, 1);
         assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 1);
+    }
+
+    #[test]
+    fn deep_user_queue_recruits_a_parked_kernel_core() {
+        // §5.2 scale-up: the running process's endpoint already holds
+        // `scale_up_queue_threshold` (2) requests. The next one goes to
+        // a parked kernel dispatcher when there is one, else it queues.
+        for kernel_parked in [true, false] {
+            let mut n = nic();
+            let (ep, _) = n.create_endpoint(ProcessId(10));
+            n.demux_mut().add_endpoint(1, ep).unwrap();
+            n.push_running(0, Some(ProcessId(10)), SimTime::ZERO);
+            for id in 0..2 {
+                assert!(rx(&mut n, SimTime::from_us(1), &request_frame(id, 1)).is_empty());
+            }
+            assert_eq!(n.endpoint(ep).unwrap().queue_depth(), 2);
+            if kernel_parked {
+                let (_, kl) = n.create_kernel_endpoint(1);
+                load(&mut n, SimTime::from_us(2), 1, FillToken(5), kl.ctrl(0));
+            }
+            let acts = rx(&mut n, SimTime::from_us(3), &request_frame(9, 1));
+            let recruited = |a: &NicAction| matches!(a, NicAction::KernelDelivery { core: 1, .. });
+            assert_eq!(acts.iter().any(recruited), kernel_parked, "{acts:?}");
+            assert_eq!(n.stats().kernel_path, kernel_parked as u64);
+            let depth = n.endpoint(ep).unwrap().queue_depth();
+            assert_eq!(depth, if kernel_parked { 2 } else { 3 });
+        }
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl Iommu {
     pub fn stats(&self) -> IommuStats {
         self.stats
     }
-
-    /// Notes an unmapped-access fault in the stats (callers record the
-    /// fault they got from [`Iommu::translate`]).
-    pub fn note_fault(&mut self) {
-        self.stats.faults += 1;
-    }
 }
 
 #[cfg(test)]

@@ -445,28 +445,6 @@ impl BypassSim {
         }
     }
 
-    /// The epoch length of `workload`'s mix, in picoseconds, found by
-    /// bisecting `epoch_at`.
-    fn epoch_len_ps(workload: &WorkloadSpec) -> u64 {
-        let mut hi = 1u64;
-        while workload.mix.epoch_at(SimTime::from_ps(hi)) == 0 {
-            if hi > u64::MAX / 2 {
-                return u64::MAX;
-            }
-            hi *= 2;
-        }
-        let mut lo = hi / 2;
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if workload.mix.epoch_at(SimTime::from_ps(mid)) == 0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        hi
-    }
-
     /// Runs `workload` under the generic driver and reports.
     pub fn run(&mut self, workload: &WorkloadSpec) -> Report {
         crate::driver::run(self, workload)
@@ -514,7 +492,7 @@ impl ServerStack for BypassSim {
             self.energy.set_state(c, CoreState::Active, SimTime::ZERO);
         }
         if self.cfg.rebind_on_epoch {
-            let epoch_ps = Self::epoch_len_ps(workload);
+            let epoch_ps = workload.mix.epoch().as_ps().max(1);
             let mut t = epoch_ps;
             while epoch_ps != u64::MAX && SimTime::from_ps(t) <= self.common.end_of_load {
                 self.q.schedule(SimTime::from_ps(t), Ev::EpochRebind);

@@ -56,10 +56,6 @@ pub struct LauberhornSimConfig {
     pub machine: Machine,
     /// Cores participating in RPC serving.
     pub cores: usize,
-    /// How many of those cores start in the kernel dispatch loop
-    /// (the rest start idle and are not used — the experiments size
-    /// this explicitly).
-    pub kernel_dispatchers: usize,
     /// Consecutive TRYAGAINs before a user loop yields its core back
     /// to the kernel dispatch loop.
     pub yield_after: u32,
@@ -75,7 +71,6 @@ impl LauberhornSimConfig {
         LauberhornSimConfig {
             machine: Machine::EnzianEci,
             cores,
-            kernel_dispatchers: cores,
             yield_after: 1,
             tryagain_timeout: None,
             wire: WireModel::same_rack_100g(),
@@ -271,8 +266,7 @@ impl LauberhornSim {
             device_base,
             device_base + (64 << 20),
         );
-        // Per-core service capacity for the load tracker: rough 1/µs.
-        let mut nic = LauberhornNic::new(nic_cfg, cfg.cores, 1_000_000.0);
+        let mut nic = LauberhornNic::new(nic_cfg, cfg.cores);
         let mut shadow = ShadowRegistry::new();
         for s in &services {
             let (code, data) = (
@@ -413,7 +407,7 @@ impl LauberhornSim {
                 NicAction::DmaWrite { .. } => {
                     // Timing is already folded into the delayed fill.
                 }
-                NicAction::KernelDelivery { .. } | NicAction::ScaleHint { .. } => {
+                NicAction::KernelDelivery { .. } => {
                     // Stats only; the core-mode logic charges the costs.
                 }
                 NicAction::RequestPreempt { core, at } => {
@@ -1293,8 +1287,8 @@ impl ServerStack for LauberhornSim {
                 Ev::Heartbeat,
             );
         }
-        // Kernel dispatcher cores park at t=0.
-        for core in 0..self.cfg.kernel_dispatchers.min(self.cfg.cores) {
+        // Every core starts parked in the kernel dispatch loop.
+        for core in 0..self.cfg.cores {
             self.q.schedule(SimTime::ZERO, Ev::IssueLoad { core });
         }
     }

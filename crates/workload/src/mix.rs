@@ -80,6 +80,11 @@ impl DynamicMix {
         self.num_services
     }
 
+    /// The popularity-rotation period.
+    pub fn epoch(&self) -> SimTime {
+        self.epoch
+    }
+
     /// The epoch index at `now`.
     pub fn epoch_at(&self, now: SimTime) -> u64 {
         now.as_ps() / self.epoch.as_ps().max(1)
