@@ -1,14 +1,16 @@
 //! Golden `Report::digest()`s (`golden/digests.txt`) of short seeded
 //! runs: every stack's echo fast path, wire loss with retransmission,
 //! the TENANT isolated storm under the flight recorder, the NICFAIL
-//! reset (endpoint restore) and C4's bypass rebind-every-epoch. Each
-//! arm asserts it reached its path. After an *intentional* change:
+//! reset (endpoint restore), C4's bypass rebind-every-epoch, the DMA
+//! stacks' overload shedding and request-frame corruption on the FAULT
+//! stacks. Each arm asserts it reached its path. After an *intentional*
+//! change:
 //! `BLESS=1 cargo test -p lauberhorn --test golden_digests`.
 
-use lauberhorn::experiments::{fault, nicfail, tenant};
+use lauberhorn::experiments::{fault, nicfail, overload, tenant};
 use lauberhorn::prelude::*;
 use lauberhorn::rpc::RetryPolicy;
-use lauberhorn::sim::fault::{FaultPlan, NicFaultKind};
+use lauberhorn::sim::fault::{FaultPlan, FaultSpec, NicFaultKind};
 use lauberhorn::sim::ObserveSpec;
 
 const SEED: u64 = 7;
@@ -52,6 +54,32 @@ fn arms() -> Vec<(String, Experiment, WorkloadSpec, &'static str)> {
     let exp = exp.services(ServiceSpec::uniform(24, 6_000, 32));
     let label = "c4/bypass-rebind".to_string();
     arms.push((label, exp.rebind_on_epoch(true), wl, "bypass.rebinds"));
+    for (stack, witness) in [
+        (StackKind::BypassModern, "bypass.overload.shed"),
+        (StackKind::KernelModern, "os.overload.shed"),
+    ] {
+        let wl = overload::workload_for(1_000_000.0, overload::shed_config(), SEED, 2);
+        let exp = Experiment::new(stack)
+            .cores(2)
+            .services(overload::services());
+        let label = format!("shed/{}", stack.name());
+        arms.push((label, exp, wl, witness));
+    }
+    for stack in fault::STACKS {
+        let corrupt = FaultPlan {
+            wire_tx: FaultSpec {
+                corrupt: 0.02,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut wl = poisson(60_000.0, 1, 4).with_faults(corrupt);
+        wl.warmup = 20;
+        let wl = wl.with_retry(RetryPolicy::same_rack());
+        let label = format!("corrupt/{}", stack.name());
+        let witness = "rpc.wire.checksum_dropped";
+        arms.push((label, Experiment::new(stack), wl, witness));
+    }
     arms
 }
 
