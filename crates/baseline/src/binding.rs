@@ -116,13 +116,6 @@ impl BindingManager {
         }
     }
 
-    /// Least-loaded core by bound-service count (placement heuristic).
-    pub fn least_loaded_core(&self) -> usize {
-        (0..self.per_core.len())
-            .min_by_key(|&c| self.per_core[c].len())
-            .expect("at least one core")
-    }
-
     /// Rebind operations performed.
     pub fn rebinds(&self) -> u64 {
         self.rebinds
@@ -176,14 +169,5 @@ mod tests {
     fn unbound_service_unavailable() {
         let b = BindingManager::new(1, RebindCost::default());
         assert!(!b.available(9, SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn least_loaded_placement() {
-        let mut b = BindingManager::new(3, RebindCost::default());
-        b.bind(1, 0, SimTime::ZERO);
-        b.bind(2, 0, SimTime::ZERO);
-        b.bind(3, 1, SimTime::ZERO);
-        assert_eq!(b.least_loaded_core(), 2);
     }
 }

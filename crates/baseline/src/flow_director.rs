@@ -33,8 +33,6 @@ impl std::error::Error for FdirError {}
 pub struct FlowDirector {
     rules: FastMap<u16, u32>,
     capacity: usize,
-    default_queue: Option<u32>,
-    programmed: u64,
 }
 
 impl FlowDirector {
@@ -43,14 +41,7 @@ impl FlowDirector {
         FlowDirector {
             rules: FastMap::default(),
             capacity,
-            default_queue: None,
-            programmed: 0,
         }
-    }
-
-    /// Sets the queue for unmatched traffic (None = drop).
-    pub fn set_default_queue(&mut self, queue: Option<u32>) {
-        self.default_queue = queue;
     }
 
     /// Programs (or reprograms) a rule steering `dst_port` to `queue`.
@@ -59,7 +50,6 @@ impl FlowDirector {
             return Err(FdirError::TableFull);
         }
         self.rules.insert(dst_port, queue);
-        self.programmed += 1;
         Ok(())
     }
 
@@ -71,9 +61,9 @@ impl FlowDirector {
             .ok_or(FdirError::NoRule(dst_port))
     }
 
-    /// Steers a packet: rule hit, else default queue, else `None` (drop).
+    /// Steers a packet: the rule's queue, or `None` (drop) on a miss.
     pub fn steer(&self, dst_port: u16) -> Option<u32> {
-        self.rules.get(&dst_port).copied().or(self.default_queue)
+        self.rules.get(&dst_port).copied()
     }
 
     /// Rules currently installed.
@@ -84,12 +74,6 @@ impl FlowDirector {
     /// Whether the table has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Total programming operations (each costs a control-plane round
-    /// trip; see [`crate::binding::RebindCost`]).
-    pub fn programming_ops(&self) -> u64 {
-        self.programmed
     }
 }
 
@@ -103,8 +87,6 @@ mod tests {
         f.program(8000, 2).unwrap();
         assert_eq!(f.steer(8000), Some(2));
         assert_eq!(f.steer(8001), None);
-        f.set_default_queue(Some(0));
-        assert_eq!(f.steer(8001), Some(0));
     }
 
     #[test]
@@ -126,15 +108,5 @@ mod tests {
         assert_eq!(f.remove(1), Err(FdirError::NoRule(1)));
         f.program(2, 1).unwrap();
         assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn programming_ops_counted() {
-        let mut f = FlowDirector::new(8);
-        for p in 0..5 {
-            f.program(p, 0).unwrap();
-        }
-        f.program(0, 3).unwrap(); // Reprogram counts too.
-        assert_eq!(f.programming_ops(), 6);
     }
 }

@@ -16,7 +16,7 @@ use lauberhorn::experiments::{
 };
 use lauberhorn::prelude::*;
 use lauberhorn::rpc::driver;
-use lauberhorn::rpc::sim_lauberhorn::Machine;
+use lauberhorn::rpc::Machine;
 use lauberhorn::sim::span::{chrome_trace, stage_table};
 use lauberhorn::sim::{
     blame_table, tenant_queueing_table, ObserveSpec, OverloadConfig, TenancyConfig, TenantSpec,

@@ -3,7 +3,10 @@
 use lauberhorn_rpc::sim_bypass::{BypassSim, BypassSimConfig};
 use lauberhorn_rpc::sim_kernel::{KernelSim, KernelSimConfig};
 use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
+use lauberhorn_rpc::spec::LoadMode;
 use lauberhorn_rpc::{driver, Machine, Report, ServerStack, ServiceSpec, WorkloadSpec};
+use lauberhorn_sim::SimDuration;
+use lauberhorn_workload::TenantMix;
 
 /// A server stack on a concrete machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,37 +149,28 @@ impl Experiment {
     }
 }
 
-/// Runs `workload` across `seeds` and summarises the spread of a
-/// metric: returns `(mean, std deviation)` of the RTT p50 in
-/// microseconds. Experiments quote this to show seed sensitivity.
-pub fn replicate_p50_us(
+/// Saturation throughput of `stack` on `cores` cores serving
+/// `services`, in requests/second: a 10 ms closed-loop probe with 64
+/// zero-think clients (enough to keep every core busy) spread
+/// uniformly over the services, after 200 warmup completions.
+pub(crate) fn saturation_rps(
     stack: StackKind,
     cores: usize,
     services: Vec<ServiceSpec>,
-    workload: &WorkloadSpec,
-    seeds: &[u64],
-) -> (f64, f64) {
-    let points: Vec<crate::sweep::SweepPoint> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut wl = workload.clone();
-            wl.seed = seed;
-            crate::sweep::SweepPoint::new(
-                Experiment::new(stack)
-                    .cores(cores)
-                    .services(services.clone()),
-                wl,
-            )
-        })
-        .collect();
-    let samples: Vec<f64> = crate::sweep::run_parallel(&points, 0)
-        .iter()
-        .map(|r| r.rtt.p50_us())
-        .collect();
-    let n = samples.len().max(1) as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    (mean, var.sqrt())
+    seed: u64,
+) -> f64 {
+    let mut wl = WorkloadSpec::echo_closed(64, 10, seed);
+    wl.mode = LoadMode::Closed {
+        clients: 64,
+        think: SimDuration::ZERO,
+    };
+    wl.mix = TenantMix::uniform(services.len()).to_mix();
+    wl.warmup = 200;
+    Experiment::new(stack)
+        .cores(cores)
+        .services(services)
+        .run(&wl)
+        .throughput_rps()
 }
 
 /// Runs the same workload across several stacks (in parallel, one
@@ -216,22 +210,6 @@ mod tests {
             );
             assert_eq!(r.stack, stack.name());
         }
-    }
-
-    #[test]
-    fn replication_is_tight_for_closed_loop_echo() {
-        // Closed-loop deterministic echo: the p50 must be essentially
-        // seed-independent.
-        let wl = WorkloadSpec::echo_closed(64, 2, 0);
-        let (mean, std) = replicate_p50_us(
-            StackKind::LauberhornEnzian,
-            2,
-            ServiceSpec::uniform(1, 1000, 32),
-            &wl,
-            &[1, 2, 3, 4],
-        );
-        assert!(mean > 0.5);
-        assert!(std / mean < 0.05, "mean {mean} std {std}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
 use lauberhorn_rpc::spec::LoadMode;
-use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{Report, ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 use lauberhorn_workload::{ArrivalProcess, DynamicMix, SizeDist};
 

@@ -11,7 +11,7 @@
 
 use lauberhorn_nic::large::{LargeTransferModel, TransferPath};
 use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
-use lauberhorn_rpc::{ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 use lauberhorn_workload::SizeDist;
 

@@ -8,8 +8,8 @@
 
 use lauberhorn_nic::LauberhornNicConfig;
 use lauberhorn_packet::frame::EndpointAddr;
-use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig, Machine};
-use lauberhorn_rpc::{Report, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::sim_lauberhorn::{LauberhornSim, LauberhornSimConfig};
+use lauberhorn_rpc::{Machine, Report, ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 
 /// One phase of the fast path.

@@ -30,12 +30,12 @@
 //!   watchdog lease plus one client retransmission timeout, never
 //!   collapses.
 
-use crate::experiment::{Experiment, StackKind};
+use crate::experiment::{saturation_rps, Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::{Report, RetryPolicy, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::fault::{FaultPlan, NicFaultKind};
 use lauberhorn_sim::SimDuration;
-use lauberhorn_workload::{SizeDist, TenantMix};
+use lauberhorn_workload::SizeDist;
 
 /// The stack under test (NIC-internal faults are Lauberhorn-specific:
 /// a DMA NIC holds no OS state worth reconstructing).
@@ -80,21 +80,10 @@ pub fn arm_name(arm: Option<NicFaultKind>) -> &'static str {
     }
 }
 
-/// Calibrates the stack's capacity: saturation throughput of a
-/// closed-loop run with enough clients to keep every core busy.
+/// Calibrates the stack's capacity: its closed-loop saturation
+/// throughput on the arms' cores and services.
 pub fn calibrate(seed: u64) -> f64 {
-    let mut wl = WorkloadSpec::echo_closed(64, DURATION_MS, seed);
-    wl.mode = lauberhorn_rpc::spec::LoadMode::Closed {
-        clients: 64,
-        think: SimDuration::ZERO,
-    };
-    wl.mix = TenantMix::uniform(SERVICES).to_mix();
-    wl.warmup = 200;
-    Experiment::new(STACK)
-        .cores(CORES)
-        .services(services())
-        .run(&wl)
-        .throughput_rps()
+    saturation_rps(STACK, CORES, services(), seed)
 }
 
 /// The workload for one arm: open Poisson at `rate_rps` with client

@@ -28,7 +28,7 @@
 //!   within 10 % of its fair weight even though tenant 0 offers 5× the
 //!   load of the others (no cross-service starvation).
 
-use crate::experiment::{Experiment, StackKind};
+use crate::experiment::{saturation_rps, Experiment, StackKind};
 use crate::sweep::{self, SweepPoint};
 use lauberhorn_rpc::{Report, RetryPolicy, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::{OverloadConfig, SimDuration};
@@ -119,21 +119,10 @@ pub fn workload_for(
         .with_overload(overload)
 }
 
-/// Calibrates `stack`'s capacity: saturation throughput of a
-/// closed-loop run with enough clients to keep every core busy.
+/// Calibrates `stack`'s capacity: its closed-loop saturation
+/// throughput on the sweep's two cores and tenant services.
 pub fn calibrate(stack: StackKind, seed: u64) -> f64 {
-    let mut wl = WorkloadSpec::echo_closed(64, DURATION_MS, seed);
-    wl.mode = lauberhorn_rpc::spec::LoadMode::Closed {
-        clients: 64,
-        think: SimDuration::ZERO,
-    };
-    wl.mix = TenantMix::uniform(TENANTS).to_mix();
-    wl.warmup = 200;
-    Experiment::new(stack)
-        .cores(2)
-        .services(services())
-        .run(&wl)
-        .throughput_rps()
+    saturation_rps(stack, 2, services(), seed)
 }
 
 /// One measured point.

@@ -71,11 +71,6 @@ impl RssTable {
         }
     }
 
-    /// Retargets indirection entry `idx` to `queue` (how drivers rebalance).
-    pub fn set_entry(&mut self, idx: usize, queue: u32) {
-        self.indirection[idx] = queue;
-    }
-
     /// Selects the queue for a flow.
     pub fn queue_for(&self, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16) -> u32 {
         let h = toeplitz_hash(&self.key, &rss_input(src, dst, src_port, dst_port));
@@ -146,15 +141,5 @@ mod tests {
         }
         // 256 flows must hit most of 8 queues.
         assert!(seen.len() >= 6, "only {} queues used", seen.len());
-    }
-
-    #[test]
-    fn indirection_override() {
-        let mut t = RssTable::new(4);
-        for i in 0..128 {
-            t.set_entry(i, 2);
-        }
-        let q = t.queue_for(Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8), 9, 10);
-        assert_eq!(q, 2);
     }
 }

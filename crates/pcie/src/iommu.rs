@@ -114,17 +114,6 @@ impl Iommu {
         }
     }
 
-    /// Removes the mapping for `len` bytes at `iova` and shoots down
-    /// IOTLB entries covering it.
-    pub fn unmap(&mut self, iova: u64, len: u64) {
-        let first = iova / IO_PAGE_SIZE;
-        let pages = len.div_ceil(IO_PAGE_SIZE);
-        for i in 0..pages {
-            self.pages.remove(&(first + i));
-        }
-        self.iotlb.retain(|p| *p < first || *p >= first + pages);
-    }
-
     /// Translates one access of `len` bytes at `iova`.
     ///
     /// Returns the physical address and the translation latency.
@@ -240,15 +229,6 @@ mod tests {
             })
         );
         assert_eq!(io.stats().faults, 1);
-    }
-
-    #[test]
-    fn unmap_shoots_down_iotlb() {
-        let mut io = Iommu::new(8);
-        io.map(0x2000, 0x8000, 4096, true);
-        io.translate(0x2000, 8, false).unwrap(); // Cached.
-        io.unmap(0x2000, 4096);
-        assert!(io.translate(0x2000, 8, false).is_err());
     }
 
     #[test]

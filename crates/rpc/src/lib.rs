@@ -21,6 +21,7 @@
 //! same [`report`] metrics, so every experiment is an apples-to-apples
 //! comparison.
 
+mod dma_host;
 pub mod driver;
 pub mod report;
 pub mod sim_bypass;

@@ -12,9 +12,7 @@
 use std::collections::VecDeque;
 
 use lauberhorn_baseline::{BindingManager, FlowDirector, RebindCost};
-use lauberhorn_nic_dma::nic::RxDrop;
-use lauberhorn_nic_dma::ring::{RxDescriptor, TxDescriptor};
-use lauberhorn_nic_dma::{DmaNic, DmaNicConfig};
+use lauberhorn_nic_dma::DmaNic;
 use lauberhorn_os::CostModel;
 use lauberhorn_packet::frame::{EndpointAddr, FRAME_OVERHEAD};
 use lauberhorn_packet::rpcwire::RPC_HEADER_LEN;
@@ -22,14 +20,10 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::{EventQueue, OverloadConfig, SimDuration, SimTime, Stage};
 
-use crate::report::Report;
-use crate::spec::{ServiceSpec, WorkloadSpec};
-use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, NIC_TRACK};
+use crate::dma_host::DmaHost;
+use crate::spec::{spec_of, ServiceSpec, WorkloadSpec};
+use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT};
 use crate::wire::WireModel;
-
-// The canonical home of this constant is the centralized machine
-// catalogue; re-exported here for the historical import path.
-pub use crate::stack::BASE_PORT;
 
 /// Configuration.
 #[derive(Debug, Clone)]
@@ -98,8 +92,7 @@ enum Ev {
 pub struct BypassSim {
     cfg: BypassSimConfig,
     cost: CostModel,
-    services: Vec<ServiceSpec>,
-    nic: DmaNic,
+    host: DmaHost,
     fdir: FlowDirector,
     bindings: BindingManager,
     energy: EnergyMeter,
@@ -115,42 +108,12 @@ pub struct BypassSim {
     check_scheduled: Vec<bool>,
     q: EventQueue<Ev>,
     common: StackCommon,
-    next_buf: u64,
-    server_ip: EndpointAddr,
 }
 
 impl BypassSim {
     /// Builds the dataplane and binds every service round-robin over
     /// the dedicated cores.
     pub fn new(cfg: BypassSimConfig, services: Vec<ServiceSpec>) -> Self {
-        let nic_cfg = match cfg.machine {
-            Machine::EnzianPcie => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::enzian_fpga(cfg.cores as u32)
-            },
-            // Bypass masks interrupts and polls.
-            _ => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::modern_server(cfg.cores as u32)
-            },
-        };
-        let mut nic = DmaNic::new(nic_cfg);
-        // Map a large buffer arena and post descriptors everywhere.
-        nic.iommu_mut().map(0x100_0000, 0x100_0000, 256 << 20, true);
-        for qi in 0..cfg.cores as u32 {
-            for b in 0..128u64 {
-                nic.post_rx(
-                    qi,
-                    RxDescriptor {
-                        buf_iova: 0x100_0000 + (qi as u64 * 128 + b) * 16384,
-                        buf_len: 16384,
-                    },
-                )
-                // lint:allow(panic-path): construction-time ring setup
-                .expect("fresh ring has room");
-            }
-            nic.mask_queue(qi); // Polled mode: interrupts never fire.
-        }
         let mut fdir = FlowDirector::new(4096);
         let mut bindings = BindingManager::new(cfg.cores, cfg.rebind);
         for (i, s) in services.iter().enumerate() {
@@ -160,10 +123,14 @@ impl BypassSim {
                 // lint:allow(panic-path): construction-time flow-table setup
                 .expect("table sized for the experiments");
         }
+        let mut host = DmaHost::new(cfg.machine, cfg.cores as u32, services);
+        for qi in 0..cfg.cores as u32 {
+            host.nic.mask_queue(qi); // Polled mode: interrupts never fire.
+        }
         let cost = cfg.machine.cost_model();
         BypassSim {
             cost,
-            nic,
+            host,
             fdir,
             bindings,
             energy: EnergyMeter::new(cfg.cores),
@@ -175,29 +142,18 @@ impl BypassSim {
             check_scheduled: vec![false; cfg.cores],
             q: EventQueue::new(),
             common: StackCommon::new(cfg.wire),
-            next_buf: 0,
-            server_ip: EndpointAddr::host(1, BASE_PORT),
-            services,
             cfg,
         }
     }
 
     /// Read access to the NIC.
     pub fn nic(&self) -> &DmaNic {
-        &self.nic
+        &self.host.nic
     }
 
     /// Rebinds performed over the run.
     pub fn rebinds(&self) -> u64 {
         self.bindings.rebinds()
-    }
-
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and the flow director only steers registered ports
-            .expect("request targets a registered service")
     }
 
     fn schedule_check(&mut self, core: usize, at: SimTime) {
@@ -210,11 +166,9 @@ impl BypassSim {
     }
 
     fn on_frame(&mut self, raw: PktBuf, request_id: u64, now: SimTime) {
-        self.common.note_arrival(request_id, now);
         // The NIC validates the IPv4/UDP checksums before steering: a
         // corrupted frame never reaches a descriptor.
-        let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-            self.common.reject_corrupt(request_id, now);
+        let Some(frame) = self.common.receive(&raw, request_id, now) else {
             return;
         };
         // Steering: exact-match rule, else drop (no kernel to fall back
@@ -228,45 +182,31 @@ impl BypassSim {
         }
         let service = frame.udp.dst_port.wrapping_sub(BASE_PORT);
         let payload_len = raw.len() - FRAME_OVERHEAD - RPC_HEADER_LEN;
-        match self.nic.rx_packet_steered(now, &raw, queue) {
-            Ok(delivery) => {
-                // The driver recycles the buffer (refill happens in the
-                // poll loop on real systems; the copy to user space has
-                // completed by then).
-                if self.nic.post_rx(queue, delivery.desc).is_err() {
-                    debug_assert!(false, "slot was just freed");
-                }
-                let core = queue as usize;
-                // Bounded software backlog: when overload control is
-                // armed the poll loop drops the newest packet rather
-                // than growing without limit (drop-tail, like the
-                // kernel's SYN-style backlog).
-                if let Some(ov) = &self.overload {
-                    let depth = self.pending.get(core).map_or(0, |q| q.len());
-                    if depth >= ov.queue_cap {
-                        self.shed_capacity += 1;
-                        self.common.drop_request(request_id, now);
-                        return;
-                    }
-                }
-                if let Some(q) = self.pending.get_mut(core) {
-                    q.push_back(PendingPkt {
-                        ready_at: delivery.ready_at,
-                        request_id,
-                        service,
-                        payload_len,
-                    });
-                }
-                self.schedule_check(core, delivery.ready_at);
-            }
-            Err(RxDrop::NoDescriptor { .. }) => {
+        let rx = self.host.nic.rx_packet_steered(now, &raw, queue);
+        let Some(delivery) = self.host.delivered(&mut self.common, rx, request_id, now) else {
+            return;
+        };
+        let core = queue as usize;
+        // Bounded software backlog: when overload control is armed the
+        // poll loop drops the newest packet rather than growing without
+        // limit (drop-tail, like the kernel's SYN-style backlog).
+        if let Some(ov) = &self.overload {
+            let depth = self.pending.get(core).map_or(0, |q| q.len());
+            if depth >= ov.queue_cap {
+                self.shed_capacity += 1;
                 self.common.drop_request(request_id, now);
-            }
-            Err(e) => {
-                debug_assert!(false, "rx failed: {e:?}");
-                self.common.drop_request(request_id, now);
+                return;
             }
         }
+        if let Some(q) = self.pending.get_mut(core) {
+            q.push_back(PendingPkt {
+                ready_at: delivery.ready_at,
+                request_id,
+                service,
+                payload_len,
+            });
+        }
+        self.schedule_check(core, delivery.ready_at);
     }
 
     fn on_core_check(&mut self, core: usize, now: SimTime) {
@@ -311,53 +251,25 @@ impl BypassSim {
         let Some(pkt) = self.pending.get_mut(core).and_then(|q| q.pop_front()) else {
             return;
         };
-        if self.common.tracer.is_enabled() && now > pkt.ready_at {
-            // RX-ring residence: DMA-complete at `ready_at`, poll
-            // pick-up now. Queueing on the critical path.
-            let root = self.common.root_span(pkt.request_id);
-            self.common.tracer.span(
-                Stage::Queue,
-                Some(pkt.request_id),
-                root,
-                core as u32,
-                pkt.ready_at,
-                now,
-            );
-        }
+        // RX-ring residence: DMA-complete at `ready_at`.
+        self.common
+            .queue_span(pkt.request_id, core, pkt.ready_at, now);
         // The bypass receive path: one poll iteration found the packet,
         // minimal user-space protocol handling, dispatch, software
         // unmarshal (no NIC offload here), then the handler.
         let m = &self.cost;
         let sw = m.poll_iteration + 250 + 30 + m.unmarshal(pkt.payload_len) + 60;
-        let sw_total = sw + m.copy(self.spec_of(service).response_bytes);
-        let spec_time = self.spec_of(service).service_time;
+        let spec = spec_of(&self.host.services, service);
+        let sw_total = sw + m.copy(spec.response_bytes);
+        let spec_time = spec.service_time;
         let handler = spec_time.sample(&mut self.common.rng);
-        if let Some(r) = self.common.request_mut(pkt.request_id) {
-            r.times.handler_start = now + self.cost.cycles(sw);
-        }
         // Attributed per request (the driver folds it in only for
         // warmed completions, like the other stacks).
         self.common.charge_req(pkt.request_id, sw_total);
-        if self.common.tracer.is_enabled() {
-            // Sub-span boundaries re-derive the receive-path breakdown;
-            // each clamps to the handler start so per-term rounding can
-            // never push a sub-span past the charged window.
-            let handler_start = now + self.cost.cycles(sw);
-            let root = self.common.root_span(pkt.request_id);
-            let rid = pkt.request_id;
-            let lane = core as u32;
-            let m = &self.cost;
-            let mut t = now;
-            let mut sub = |tr: &mut lauberhorn_sim::SpanTracer, stage, cycles: u64| {
-                let e = (t + m.cycles(cycles)).min(handler_start);
-                tr.span(stage, Some(rid), root, lane, t, e);
-                t = e;
-            };
-            let tr = &mut self.common.tracer;
-            sub(tr, Stage::Poll, m.poll_iteration);
-            sub(tr, Stage::Protocol, 250 + 30);
-            tr.span(Stage::Unmarshal, Some(rid), root, lane, t, handler_start);
-        }
+        let parts = [(Stage::Poll, m.poll_iteration), (Stage::Protocol, 250 + 30)];
+        let handler_start = now + m.cycles(sw);
+        self.common
+            .software_rx(pkt.request_id, core, m, now, handler_start, &parts);
         let done = now + self.cost.cycles(sw + handler);
         if let Some(b) = self.busy_until.get_mut(core) {
             *b = done;
@@ -373,56 +285,10 @@ impl BypassSim {
     }
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, service: u16, now: SimTime) {
-        // Transmit the response: build descriptor, ring the doorbell.
-        let resp_len = self.spec_of(service).response_bytes;
-        let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + resp_len;
-        self.next_buf = (self.next_buf + 1) % 1024;
-        let tx_done = match self.nic.tx_packet(
-            now + self.nic.doorbell_cost(),
-            TxDescriptor {
-                buf_iova: 0x100_0000 + self.next_buf * 16384,
-                len: frame_len as u32,
-            },
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                // TX ring exhaustion is not modelled as backpressure:
-                // send at the doorbell time and flag the model bug.
-                debug_assert!(false, "tx failed: {e:?}");
-                now + self.nic.doorbell_cost()
-            }
-        };
-        if let Some(r) = self.common.request_mut(request_id) {
-            r.times.handler_end = now;
-            r.times.response_tx = tx_done;
-        }
-        if self.common.tracer.is_enabled() {
-            let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .request(request_id)
-                .map_or(now, |r| r.times.handler_start);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
-                Stage::Response,
-                Some(request_id),
-                root,
-                NIC_TRACK,
-                now,
-                tx_done,
-            );
-        }
-        let arrive = tx_done + self.common.wire.deliver(frame_len);
-        self.common.complete(arrive, request_id);
-        let doorbell_done = now + self.nic.doorbell_cost();
+        // The handler itself builds the descriptor and rings the doorbell.
+        self.host
+            .respond(&mut self.common, core, request_id, service, now, &[]);
+        let doorbell_done = now + self.host.nic.doorbell_cost();
         if let Some(b) = self.busy_until.get_mut(core) {
             *b = (*b).max(doorbell_done);
         }
@@ -443,11 +309,6 @@ impl BypassSim {
                 debug_assert!(false, "flow table sized for the experiments");
             }
         }
-    }
-
-    /// Runs `workload` under the generic driver and reports.
-    pub fn run(&mut self, workload: &WorkloadSpec) -> Report {
-        crate::driver::run(self, workload)
     }
 }
 
@@ -475,10 +336,7 @@ impl ServerStack for BypassSim {
     }
 
     fn server_addr(&self, service: u16) -> EndpointAddr {
-        EndpointAddr {
-            port: BASE_PORT + service,
-            ..self.server_ip
-        }
+        self.host.server_addr(service)
     }
 
     fn common(&mut self) -> &mut StackCommon {
@@ -526,21 +384,15 @@ impl ServerStack for BypassSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
-        // Bus traffic: PCIe transactions ≈ 4 per rx (descriptor fetch,
-        // payload write, completion write, refill) + 3 per tx, plus one
-        // memory poll per spin iteration (the dominant idle-time term).
-        let stats = self.nic.stats();
-        let spin_time: SimDuration = accounts.iter().map(|a| a.active).sum();
+        let mut meter = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
+        let total = meter.snapshot_total(end);
+        // Bus traffic: the descriptor rings' PCIe transactions plus one
+        // memory poll per spin iteration (the dominant idle-time term)
+        // over the dedicated cores' whole active time.
         let per_poll = self.cost.cycles(self.cost.poll_iteration);
-        let spin_reads = spin_time.as_ps() / per_poll.as_ps().max(1);
+        let spin_reads = total.active.as_ps() / per_poll.as_ps().max(1);
+        let ring_traffic = self.host.finish(&mut self.common);
         let reg = &mut self.common.metrics.registry;
-        stats.export(reg);
         reg.counter("bypass.rebinds", self.bindings.rebinds());
         reg.counter("bypass.spin_reads", spin_reads);
         // Exported only when overload control is armed so clean runs
@@ -553,7 +405,6 @@ impl ServerStack for BypassSim {
                 self.shed_capacity + self.shed_deadline,
             );
         }
-        let fabric = stats.rx_delivered * 4 + stats.tx_frames * 3 + spin_reads;
-        (total, fabric)
+        (total, ring_traffic + spin_reads)
     }
 }

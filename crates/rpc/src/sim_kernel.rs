@@ -17,9 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use lauberhorn_coherence::cache::{Access, SetAssocCache};
 use lauberhorn_coherence::LineAddr;
-use lauberhorn_nic_dma::nic::RxDrop;
-use lauberhorn_nic_dma::ring::{RxDescriptor, TxDescriptor};
-use lauberhorn_nic_dma::{DmaNic, DmaNicConfig};
+use lauberhorn_nic_dma::DmaNic;
 use lauberhorn_os::proc::ThreadId;
 use lauberhorn_os::sched::WakeDecision;
 use lauberhorn_os::{CostModel, OsScheduler, SocketBacklog};
@@ -29,9 +27,9 @@ use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::{EventQueue, SimDuration, SimTime, SpanId, Stage};
 
-use crate::report::Report;
-use crate::spec::{ServiceSpec, WorkloadSpec};
-use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT, NIC_TRACK};
+use crate::dma_host::DmaHost;
+use crate::spec::{spec_of, ServiceSpec, WorkloadSpec};
+use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, BASE_PORT};
 use crate::wire::WireModel;
 
 /// Configuration.
@@ -110,8 +108,7 @@ enum Ev {
 pub struct KernelSim {
     cfg: KernelSimConfig,
     cost: CostModel,
-    services: Vec<ServiceSpec>,
-    nic: DmaNic,
+    host: DmaHost,
     sched: OsScheduler,
     energy: EnergyMeter,
     pending: Vec<VecDeque<PendingPkt>>,
@@ -127,8 +124,6 @@ pub struct KernelSim {
     busy_until: Vec<SimTime>,
     q: EventQueue<Ev>,
     common: StackCommon,
-    next_buf: u64,
-    server_ip: EndpointAddr,
 }
 
 impl KernelSim {
@@ -136,41 +131,18 @@ impl KernelSim {
     /// in `recvmsg`.
     pub fn new(cfg: KernelSimConfig, services: Vec<ServiceSpec>) -> Self {
         let queues = cfg.cores.min(16) as u32;
-        let nic_cfg = match cfg.machine {
-            Machine::EnzianPcie => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::enzian_fpga(queues)
-            },
-            // NAPI masking governs interrupt moderation.
-            _ => DmaNicConfig {
-                interrupt_holdoff: SimDuration::ZERO,
-                ..DmaNicConfig::modern_server(queues)
-            },
-        };
-        let mut nic = DmaNic::new(nic_cfg);
-        nic.iommu_mut().map(0x100_0000, 0x100_0000, 256 << 20, true);
-        for qi in 0..queues {
-            for b in 0..128u64 {
-                nic.post_rx(
-                    qi,
-                    RxDescriptor {
-                        buf_iova: 0x100_0000 + (qi as u64 * 128 + b) * 16384,
-                        buf_len: 16384,
-                    },
-                )
-                // lint:allow(panic-path): construction-time ring setup
-                .expect("fresh ring has room");
-            }
-            nic.steer_queue(qi, qi as usize % cfg.cores);
-        }
         let mut sched = OsScheduler::new(cfg.cores);
         for s in &services {
             sched.register(ThreadId(s.service_id as u32), s.process, None);
         }
+        let mut host = DmaHost::new(cfg.machine, queues, services);
+        for qi in 0..queues {
+            host.nic.steer_queue(qi, qi as usize % cfg.cores);
+        }
         let cost = cfg.machine.cost_model();
         KernelSim {
             cost,
-            nic,
+            host,
             sched,
             energy: EnergyMeter::new(cfg.cores),
             pending: (0..queues as usize).map(|_| VecDeque::new()).collect(),
@@ -182,24 +154,13 @@ impl KernelSim {
             busy_until: vec![SimTime::ZERO; cfg.cores],
             q: EventQueue::new(),
             common: StackCommon::new(cfg.wire),
-            next_buf: 0,
-            server_ip: EndpointAddr::host(1, BASE_PORT),
-            services,
             cfg,
         }
     }
 
     /// Read access to the NIC.
     pub fn nic(&self) -> &DmaNic {
-        &self.nic
-    }
-
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and ports map to registered ids
-            .expect("request targets a registered service")
+        &self.host.nic
     }
 
     /// Runs `cycles` of work on `core` no earlier than `earliest`,
@@ -217,11 +178,7 @@ impl KernelSim {
     }
 
     fn on_frame(&mut self, raw: PktBuf, request_id: u64, now: SimTime) {
-        self.common.note_arrival(request_id, now);
-        // The real IPv4/UDP checksums catch in-flight corruption here,
-        // exactly where a kernel NIC driver would discard the frame.
-        let Ok(frame) = lauberhorn_packet::parse_udp_frame_ref(&raw) else {
-            self.common.reject_corrupt(request_id, now);
+        let Some(frame) = self.common.receive(&raw, request_id, now) else {
             return;
         };
         let service = frame.udp.dst_port.wrapping_sub(BASE_PORT);
@@ -229,49 +186,37 @@ impl KernelSim {
             return;
         }
         let payload_len = raw.len() - FRAME_OVERHEAD - RPC_HEADER_LEN;
-        match self.nic.rx_packet(now, &raw) {
-            Ok(delivery) => {
-                let queue = delivery.queue;
-                // Recycle the buffer (drivers refill during NAPI polls).
-                if self.nic.post_rx(queue, delivery.desc).is_err() {
-                    debug_assert!(false, "slot was just freed");
-                }
-                // DDIO: the DMA write allocates the payload into the LLC.
-                if self.cfg.ddio {
-                    let lines = (raw.len()).div_ceil(64) as u64;
-                    for i in 0..lines {
-                        self.llc
-                            .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
-                    }
-                }
-                if let Some(q) = self.pending.get_mut(queue as usize) {
-                    q.push_back(PendingPkt {
-                        ready_at: delivery.ready_at,
-                        request_id,
-                        service,
-                        payload_len,
-                        buf_iova: delivery.desc.buf_iova,
-                    });
-                }
-                if let Some((core, at)) = delivery.interrupt {
-                    self.q.schedule(at, Ev::Irq { queue, core });
-                }
-                // If the vector was masked, NAPI is active (or the
-                // unmask on poll completion will re-raise).
+        let rx = self.host.nic.rx_packet(now, &raw);
+        let Some(delivery) = self.host.delivered(&mut self.common, rx, request_id, now) else {
+            return;
+        };
+        let queue = delivery.queue;
+        // DDIO: the DMA write allocates the payload into the LLC.
+        if self.cfg.ddio {
+            for i in 0..raw.len().div_ceil(64) as u64 {
+                self.llc
+                    .install(LineAddr::containing(delivery.desc.buf_iova + i * 64, 64));
             }
-            Err(RxDrop::NoDescriptor { .. }) => {
-                self.common.drop_request(request_id, now);
-            }
-            Err(e) => {
-                debug_assert!(false, "rx failed: {e:?}");
-                self.common.drop_request(request_id, now);
-            }
+        }
+        if let Some(q) = self.pending.get_mut(queue as usize) {
+            q.push_back(PendingPkt {
+                ready_at: delivery.ready_at,
+                request_id,
+                service,
+                payload_len,
+                buf_iova: delivery.desc.buf_iova,
+            });
+        }
+        // A masked vector means NAPI is already polling (or the unmask
+        // on poll completion re-raises).
+        if let Some((core, at)) = delivery.interrupt {
+            self.q.schedule(at, Ev::Irq { queue, core });
         }
     }
 
     fn on_irq(&mut self, queue: u32, core: usize, now: SimTime) {
         // Hard IRQ: mask the vector, schedule the softirq.
-        self.nic.mask_queue(queue);
+        self.host.nic.mask_queue(queue);
         if let Some(p) = self.poll_active.get_mut(queue as usize) {
             *p = true;
         }
@@ -432,7 +377,7 @@ impl KernelSim {
                 sirq_start,
                 end,
             );
-            if let Some(target) = self.nic.unmask_queue(queue) {
+            if let Some(target) = self.host.nic.unmask_queue(queue) {
                 self.q.schedule(
                     end,
                     Ev::Irq {
@@ -466,19 +411,8 @@ impl KernelSim {
             self.block_and_dispatch(core, now);
             return;
         };
-        if self.common.tracer.is_enabled() && now > enq_t {
-            // Socket-backlog residence: enqueue at softirq time, pick-up
-            // now. Queueing, not service — blame tables split on it.
-            let root = self.common.root_span(request_id);
-            self.common.tracer.span(
-                Stage::Queue,
-                Some(request_id),
-                root,
-                core as u32,
-                enq_t,
-                now,
-            );
-        }
+        // Socket-backlog residence: enqueued at softirq time.
+        self.common.queue_span(request_id, core, enq_t, now);
         // The recvmsg copy touches every payload line: LLC hits are the
         // base copy cost; misses stall to DRAM (~180 cycles each).
         let mut miss_cycles = 0u64;
@@ -497,39 +431,16 @@ impl KernelSim {
         }
         let (s0, handler_start) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        if let Some(r) = self.common.request_mut(request_id) {
-            r.times.handler_start = handler_start;
-        }
-        if self.common.tracer.is_enabled() {
-            // Sub-span boundaries re-derive the cost breakdown from the
-            // same model values; the single charge above is untouched.
-            // Boundaries clamp to `handler_start` so per-term rounding
-            // can never push a sub-span past the charged window.
-            let root = self.common.root_span(request_id);
-            let lane = core as u32;
-            let m = &self.cost;
-            let mut t = s0;
-            let mut sub = |tr: &mut lauberhorn_sim::SpanTracer, stage, cycles: u64| {
-                let e = (t + m.cycles(cycles)).min(handler_start);
-                tr.span(stage, Some(request_id), root, lane, t, e);
-                t = e;
-            };
-            let tr = &mut self.common.tracer;
-            if fresh {
-                sub(tr, Stage::ContextSwitch, m.full_context_switch());
-            }
-            sub(tr, Stage::Syscall, m.syscall);
-            sub(tr, Stage::Copy, m.copy(payload_len) + miss_cycles);
-            tr.span(
-                Stage::Unmarshal,
-                Some(request_id),
-                root,
-                lane,
-                t,
-                handler_start,
-            );
-        }
-        let spec_time = self.spec_of(service).service_time;
+        let m = &self.cost;
+        let parts = [
+            (Stage::ContextSwitch, m.full_context_switch()),
+            (Stage::Syscall, m.syscall),
+            (Stage::Copy, m.copy(payload_len) + miss_cycles),
+        ];
+        let parts = parts.get(usize::from(!fresh)..).unwrap_or_default();
+        self.common
+            .software_rx(request_id, core, m, s0, handler_start, parts);
+        let spec_time = spec_of(&self.host.services, service).service_time;
         let handler = spec_time.sample(&mut self.common.rng);
         let (_, done) = self.charge_core(core, handler_start, handler);
         self.q.schedule(
@@ -567,66 +478,16 @@ impl KernelSim {
     }
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, service: u16, now: SimTime) {
-        let resp_len = self.spec_of(service).response_bytes;
-        let frame_len = FRAME_OVERHEAD + RPC_HEADER_LEN + resp_len;
-        // sendmsg: syscall, copy, doorbell.
-        let sw = self.cost.syscall + self.cost.copy(resp_len);
+        // sendmsg: syscall and copy, then the doorbell.
+        let sw = self.cost.syscall
+            + self
+                .cost
+                .copy(spec_of(&self.host.services, service).response_bytes);
         let (send_s, end) = self.charge_core(core, now, sw);
         self.common.charge_req(request_id, sw);
-        self.next_buf = (self.next_buf + 1) % 1024;
-        let tx_done = match self.nic.tx_packet(
-            end + self.nic.doorbell_cost(),
-            TxDescriptor {
-                buf_iova: 0x100_0000 + self.next_buf * 16384,
-                len: frame_len as u32,
-            },
-        ) {
-            Ok(t) => t,
-            Err(e) => {
-                // TX ring exhaustion is not modelled as backpressure:
-                // send at the doorbell time and flag the model bug.
-                debug_assert!(false, "tx failed: {e:?}");
-                end + self.nic.doorbell_cost()
-            }
-        };
-        if let Some(r) = self.common.request_mut(request_id) {
-            r.times.handler_end = now;
-            r.times.response_tx = tx_done;
-        }
-        if self.common.tracer.is_enabled() {
-            let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .request(request_id)
-                .map_or(now, |r| r.times.handler_start);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
-                Stage::SendMsg,
-                Some(request_id),
-                root,
-                core as u32,
-                send_s,
-                end,
-            );
-            tr.span(
-                Stage::Response,
-                Some(request_id),
-                root,
-                NIC_TRACK,
-                end,
-                tx_done,
-            );
-        }
-        let arrive = tx_done + self.common.wire.deliver(frame_len);
-        self.common.complete(arrive, request_id);
+        let send = [(Stage::SendMsg, send_s, end)];
+        self.host
+            .respond(&mut self.common, core, request_id, service, now, &send);
         // More requests on this socket? Stay in recvmsg loop (warm).
         let more = self.socket_q.get(&service).is_some_and(|q| !q.is_empty());
         if more {
@@ -641,11 +502,6 @@ impl KernelSim {
         } else {
             self.block_and_dispatch(core, end);
         }
-    }
-
-    /// Runs `workload` under the generic driver and reports.
-    pub fn run(&mut self, workload: &WorkloadSpec) -> Report {
-        crate::driver::run(self, workload)
     }
 }
 
@@ -673,10 +529,7 @@ impl ServerStack for KernelSim {
     }
 
     fn server_addr(&self, service: u16) -> EndpointAddr {
-        EndpointAddr {
-            port: BASE_PORT + service,
-            ..self.server_ip
-        }
+        self.host.server_addr(service)
     }
 
     fn common(&mut self) -> &mut StackCommon {
@@ -723,15 +576,10 @@ impl ServerStack for KernelSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
-        let stats = self.nic.stats();
+        let mut meter = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
+        let total = meter.snapshot_total(end);
+        let ring_traffic = self.host.finish(&mut self.common);
         let reg = &mut self.common.metrics.registry;
-        stats.export(reg);
         self.sched.stats().export(reg);
         // Overload counters only exist when overload control is armed,
         // preserving the zero-perturbation digest of clean runs.
@@ -744,7 +592,6 @@ impl ServerStack for KernelSim {
             reg.counter("os.overload.shed_deadline", exp);
             reg.counter("os.overload.shed", rej + exp);
         }
-        let fabric = stats.rx_delivered * 4 + stats.tx_frames * 3 + stats.interrupts;
-        (total, fabric)
+        (total, ring_traffic + self.host.nic.stats().interrupts)
     }
 }

@@ -39,14 +39,9 @@ use lauberhorn_sim::energy::{CoreState, CycleAccount, EnergyMeter};
 use lauberhorn_sim::fault::{FaultDecision, NicFaultKind, NicFaultSpec};
 use lauberhorn_sim::{EventQueue, SimDuration, SimRng, SimTime, SpanId, Stage};
 
-use crate::report::Report;
-use crate::spec::{Behavior, ServiceSpec, WorkloadSpec};
-use crate::stack::{MachineConfig, ServerStack, StackCommon, NIC_TRACK};
+use crate::spec::{spec_of, Behavior, ServiceSpec, WorkloadSpec};
+use crate::stack::{Machine, MachineConfig, ServerStack, StackCommon, NIC_TRACK};
 use crate::wire::WireModel;
-
-// The machine catalogue lives in the centralized `stack` module;
-// re-exported here for the historical import path.
-pub use crate::stack::Machine;
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -336,14 +331,6 @@ impl LauberhornSim {
         &self.coh
     }
 
-    fn spec_of(&self, service: u16) -> &ServiceSpec {
-        self.services
-            .iter()
-            .find(|s| s.service_id == service)
-            // lint:allow(panic-path): services are fixed at construction and the NIC only dispatches registered ids
-            .expect("request targets a registered service")
-    }
-
     /// Per-core contexts: created once in `new` for ids `0..cfg.cores`;
     /// every scheduled event carries one of those ids.
     fn ctx(&self, core: usize) -> &CoreCtx {
@@ -562,7 +549,7 @@ impl LauberhornSim {
         // The Figure 5 transition: the core context-switches into the
         // target process and will thereafter park on that process's
         // dedicated endpoint.
-        let process = self.spec_of(service).process;
+        let process = spec_of(&self.services, service).process;
         let cycles = self.cost.sched_pick + self.cost.full_context_switch();
         let end = self.charge(core, now, cycles, None);
         let (ep, layout) = match self.user_eps.get(&(service, core)) {
@@ -738,7 +725,7 @@ impl LauberhornSim {
                 // Application logic: run the real handler over the bytes
                 // that actually arrived through the stack.
                 if kind == DispatchKind::Rpc && n_aux == 0 {
-                    if let Behavior::Handler(f) = &self.spec_of(service).behavior {
+                    if let Behavior::Handler(f) = &spec_of(&self.services, service).behavior {
                         let f = f.clone();
                         if let Ok(line) = lauberhorn_nic::dispatch::DispatchLine::decode(&data, &[])
                         {
@@ -762,7 +749,7 @@ impl LauberhornSim {
                     }
                 }
                 self.energy.set_state(core, CoreState::Active, t);
-                let service_time = self.spec_of(service).service_time;
+                let service_time = spec_of(&self.services, service).service_time;
                 let handler = service_time.sample(&mut self.common.rng);
                 self.ctx_mut(core).resp_addr = Some(addr);
                 self.ctx_mut(core).cur_req = Some(request_id);
@@ -776,9 +763,7 @@ impl LauberhornSim {
 
     fn on_handler_done(&mut self, core: usize, request_id: u64, now: SimTime) {
         self.ctx_mut(core).cur_req = None;
-        if let Some(r) = self.common.request_mut(request_id) {
-            r.times.handler_end = now;
-        }
+        self.common.handler_done(request_id, core, now);
         // Write the response into the CONTROL line we hold Exclusive.
         let Some(addr) = self.ctx_mut(core).resp_addr.take() else {
             debug_assert!(false, "handler had a request line");
@@ -794,20 +779,7 @@ impl LauberhornSim {
         let end = self.charge(core, now, 15, Some(request_id)); // Store + fence.
         if self.common.tracer.is_enabled() {
             let root = self.common.root_span(request_id);
-            let handler_start = self
-                .common
-                .request(request_id)
-                .map_or(now, |r| r.times.handler_start);
-            let tr = &mut self.common.tracer;
-            tr.span(
-                Stage::Handler,
-                Some(request_id),
-                root,
-                core as u32,
-                handler_start,
-                now,
-            );
-            tr.span(
+            self.common.tracer.span(
                 Stage::Response,
                 Some(request_id),
                 root,
@@ -825,7 +797,7 @@ impl LauberhornSim {
         {
             Some(resp) => self.coh.store(CacheId(core), addr, resp),
             None => {
-                let len = self.spec_of(service).response_bytes;
+                let len = spec_of(&self.services, service).response_bytes;
                 let mut resp = LineData::zeroed(len.min(self.coh.line_size()));
                 for (i, b) in resp.iter_mut().enumerate() {
                     *b = (request_id as u8).wrapping_add(i as u8);
@@ -862,7 +834,9 @@ impl LauberhornSim {
                 );
                 n
             }
-            None => self.spec_of(ctx.service_id).response_bytes.min(data.len()),
+            None => spec_of(&self.services, ctx.service_id)
+                .response_bytes
+                .min(data.len()),
         };
         if self.record_responses {
             // lint:allow(unbounded-growth): response capture is a conformance-test mode, off in benchmarks
@@ -1065,7 +1039,7 @@ impl LauberhornSim {
             .enumerate()
             .map(|(c, core)| {
                 let p = match core.mode {
-                    LoopMode::User { service } => Some(self.spec_of(service).process),
+                    LoopMode::User { service } => Some(spec_of(&self.services, service).process),
                     LoopMode::Kernel => None,
                 };
                 (c, p)
@@ -1199,11 +1173,6 @@ impl LauberhornSim {
             );
         }
     }
-
-    /// Runs `workload` under the generic driver and reports.
-    pub fn run(&mut self, workload: &WorkloadSpec) -> Report {
-        crate::driver::run(self, workload)
-    }
 }
 
 impl ServerStack for LauberhornSim {
@@ -1303,12 +1272,10 @@ impl ServerStack for LauberhornSim {
         };
         match ev {
             Ev::FrameAtNic { raw, request_id } => {
-                self.common.note_arrival(request_id, now);
                 // The NIC's line-rate parser checks the real IPv4/UDP
                 // checksums: a corrupted frame dies here, before any
                 // endpoint state is touched.
-                if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
-                    self.common.reject_corrupt(request_id, now);
+                if self.common.receive(&raw, request_id, now).is_none() {
                     return;
                 }
                 // Degraded mode: a reset NIC asserts link-level flow
@@ -1397,11 +1364,8 @@ impl ServerStack for LauberhornSim {
                 self.on_nic_restored(now);
             }
             Ev::ReplayFrame { raw, request_id } => {
+                // Backlogged frames passed `receive` when they arrived.
                 self.recovery.replayed += 1;
-                if lauberhorn_packet::parse_udp_frame_ref(&raw).is_err() {
-                    self.common.reject_corrupt(request_id, now);
-                    return;
-                }
                 if self.common.rx_gate(request_id, now) == crate::stack::RxGate::Duplicate {
                     return;
                 }
@@ -1432,12 +1396,8 @@ impl ServerStack for LauberhornSim {
     }
 
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64) {
-        let energy = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
-        let accounts = energy.finish(end);
-        let mut total = CycleAccount::default();
-        for a in &accounts {
-            total.merge(a);
-        }
+        let mut meter = std::mem::replace(&mut self.energy, EnergyMeter::new(self.cfg.cores));
+        let total = meter.snapshot_total(end);
         let coh_stats = self.coh.stats();
         let reg = &mut self.common.metrics.registry;
         self.nic.export_metrics(reg);

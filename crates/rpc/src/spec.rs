@@ -57,6 +57,18 @@ pub struct ServiceSpec {
     pub behavior: Behavior,
 }
 
+/// The spec of `service` in a stack's `services`. Every stack fixes its
+/// services at construction and routes only registered ids (ports map
+/// to them, the flow director steers only them, the NIC dispatches
+/// only them), so a miss is a simulator bug.
+pub(crate) fn spec_of(services: &[ServiceSpec], service: u16) -> &ServiceSpec {
+    services
+        .iter()
+        .find(|s| s.service_id == service)
+        // lint:allow(panic-path): only registered service ids reach a handler
+        .expect("request targets a registered service")
+}
+
 impl ServiceSpec {
     /// The wire signature every benchmark method uses: one opaque byte
     /// string (RPC frameworks marshal everything into this shape at the

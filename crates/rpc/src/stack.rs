@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use lauberhorn_os::CostModel;
-use lauberhorn_packet::frame::EndpointAddr;
+use lauberhorn_packet::frame::{EndpointAddr, UdpFrameRef};
 use lauberhorn_packet::PktBuf;
 use lauberhorn_sim::energy::CycleAccount;
 use lauberhorn_sim::fault::{FaultDecision, FaultInjector};
@@ -23,7 +23,7 @@ use lauberhorn_sim::{
 };
 
 use crate::driver::ClientEv;
-use crate::report::MetricsCollector;
+use crate::report::{MetricsCollector, Report};
 use crate::spec::{LoadMode, ServiceSpec, WorkloadSpec};
 use crate::wire::{RequestTimes, WireModel};
 
@@ -423,30 +423,41 @@ impl StackCommon {
         }
     }
 
-    /// Records that `request_id`'s frame reached the server NIC. Under
-    /// retransmission only the first arrival counts, so a duplicate
-    /// arriving mid-execution cannot corrupt the latency accounting.
-    pub fn note_arrival(&mut self, request_id: u64, now: SimTime) {
-        let Some(rec) = self.requests.get_mut(&request_id) else {
-            return;
-        };
-        if rec.times.nic_arrival != SimTime::ZERO {
-            return;
-        }
-        rec.times.nic_arrival = now;
-        if self.tracer.is_enabled() {
-            let id = self.tracer.begin(
-                now,
-                Stage::Request,
-                Some(request_id),
-                SpanId::NONE,
-                ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
-            );
-            rec.root = Some(id);
-            if id.is_some() && self.flightrec.is_none() {
-                self.traced_services.push((request_id, rec.service));
+    /// The receive prologue every stack runs on a request frame that
+    /// reached the server NIC at `now`. It records the arrival (under
+    /// retransmission only the first counts, so a duplicate arriving
+    /// mid-execution cannot corrupt the latency accounting), then checks
+    /// the real IPv4/UDP checksums, which catch in-flight corruption
+    /// where a NIC or its driver would discard the frame. Returns the
+    /// parsed frame, or `None` after rejecting a corrupt one.
+    pub(crate) fn receive<'a>(
+        &mut self,
+        raw: &'a [u8],
+        request_id: u64,
+        now: SimTime,
+    ) -> Option<UdpFrameRef<'a>> {
+        let first = self.requests.get_mut(&request_id);
+        if let Some(rec) = first.filter(|r| r.times.nic_arrival == SimTime::ZERO) {
+            rec.times.nic_arrival = now;
+            if self.tracer.is_enabled() {
+                let id = self.tracer.begin(
+                    now,
+                    Stage::Request,
+                    Some(request_id),
+                    SpanId::NONE,
+                    ROOT_TRACK_BASE + (request_id % ROOT_TRACKS) as u32,
+                );
+                rec.root = Some(id);
+                if id.is_some() && self.flightrec.is_none() {
+                    self.traced_services.push((request_id, rec.service));
+                }
             }
         }
+        let frame = lauberhorn_packet::parse_udp_frame_ref(raw).ok();
+        if frame.is_none() {
+            self.reject_corrupt(request_id, now);
+        }
+        frame
     }
 
     /// The open root span for `request_id` ([`SpanId::NONE`] when
@@ -456,6 +467,68 @@ impl StackCommon {
         self.request(request_id)
             .and_then(|r| r.root)
             .unwrap_or(SpanId::NONE)
+    }
+
+    /// `request_id` waited in a software queue from `from` until a
+    /// core picked it up at `to`: a `Queue` span on `core` (none when
+    /// it never waited). Queueing, not service — blame tables split on
+    /// it.
+    pub(crate) fn queue_span(&mut self, request_id: u64, core: usize, from: SimTime, to: SimTime) {
+        if self.tracer.is_enabled() && to > from {
+            let root = self.root_span(request_id);
+            self.tracer
+                .span(Stage::Queue, Some(request_id), root, core as u32, from, to);
+        }
+    }
+
+    /// The software receive path of `request_id` ran on `core` from
+    /// `start` until its handler started at `handler_start`. Records
+    /// the handler start and, with tracing on, one span per `(stage,
+    /// cycles)` part of the path, then `Unmarshal` for the rest. The
+    /// stack charged the path as one `cost` sum; each span clamps to
+    /// `handler_start`, so per-term rounding never overruns it.
+    pub(crate) fn software_rx(
+        &mut self,
+        request_id: u64,
+        core: usize,
+        cost: &CostModel,
+        start: SimTime,
+        handler_start: SimTime,
+        parts: &[(Stage, u64)],
+    ) {
+        if let Some(r) = self.request_mut(request_id) {
+            r.times.handler_start = handler_start;
+        }
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let root = self.root_span(request_id);
+        let (rid, lane) = (Some(request_id), core as u32);
+        let mut t = start;
+        for &(stage, cycles) in parts {
+            let end = (t + cost.cycles(cycles)).min(handler_start);
+            self.tracer.span(stage, rid, root, lane, t, end);
+            t = end;
+        }
+        self.tracer
+            .span(Stage::Unmarshal, rid, root, lane, t, handler_start);
+    }
+
+    /// `request_id`'s handler on `core` returned at `now`: records the
+    /// handler end and the `Handler` span since the handler start.
+    pub(crate) fn handler_done(&mut self, request_id: u64, core: usize, now: SimTime) {
+        let start = match self.requests.get_mut(&request_id) {
+            Some(r) => {
+                r.times.handler_end = now;
+                r.times.handler_start
+            }
+            None => now,
+        };
+        if self.tracer.is_enabled() {
+            let (root, lane) = (self.root_span(request_id), core as u32);
+            self.tracer
+                .span(Stage::Handler, Some(request_id), root, lane, start, now);
+        }
     }
 
     /// Attributes `cycles` of stack software overhead to `request_id`.
@@ -792,4 +865,9 @@ pub trait ServerStack {
     /// Finalises the run at `end`: returns the aggregate core-time
     /// account and the fabric/bus message count for the report.
     fn finish(&mut self, end: SimTime) -> (CycleAccount, u64);
+
+    /// Runs `workload` under the generic driver and reports.
+    fn run(&mut self, workload: &WorkloadSpec) -> Report {
+        crate::driver::run(self, workload)
+    }
 }

@@ -8,7 +8,7 @@
 
 use lauberhorn_packet::frame::{write_udp_headers, EndpointAddr, FRAME_OVERHEAD};
 use lauberhorn_packet::marshal::VarintCodec;
-use lauberhorn_packet::{parse_udp_frame_ref, PktBuf, RpcHeader, RpcKind, RPC_HEADER_LEN};
+use lauberhorn_packet::{PktBuf, RpcHeader, RpcKind, RPC_HEADER_LEN};
 use lauberhorn_sim::{SimDuration, SimTime};
 
 /// The network between client and server.
@@ -88,12 +88,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Bounds total retry time: see [`RetryPolicy::budget`].
-    pub fn with_budget(mut self, budget: SimDuration) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Whether a retransmit timer firing at `now` for a request first
     /// sent at `sent` has exhausted the retry budget.
     pub fn budget_exhausted(&self, sent: SimTime, now: SimTime) -> bool {
@@ -157,13 +151,6 @@ pub fn build_request(
     }
 }
 
-/// Parses a response frame, returning `(request_id, payload_len)`.
-pub fn parse_response(raw: &[u8]) -> Option<(u64, usize)> {
-    let frame = parse_udp_frame_ref(raw).ok()?;
-    let (h, payload) = RpcHeader::decode_message(frame.payload).ok()?;
-    (h.kind == RpcKind::Response).then_some((h.request_id, payload.len()))
-}
-
 /// A pending request's timestamps, for latency accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestTimes {
@@ -197,6 +184,7 @@ impl RequestTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lauberhorn_packet::parse_udp_frame_ref;
 
     #[test]
     fn request_builds_and_parses_as_frame() {
@@ -247,20 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn response_parse_rejects_requests() {
-        let raw = build_request(
-            EndpointAddr::host(1, 100),
-            EndpointAddr::host(2, 200),
-            7,
-            0,
-            42,
-            b"ping",
-            0,
-        );
-        assert!(parse_response(&raw).is_none());
-    }
-
-    #[test]
     fn wire_latency_scales_with_size() {
         let w = WireModel::same_rack_100g();
         let small = w.deliver(64);
@@ -284,7 +258,10 @@ mod tests {
 
     #[test]
     fn retry_budget_bounds_total_retry_time() {
-        let p = RetryPolicy::same_rack().with_budget(SimDuration::from_ms(1));
+        let p = RetryPolicy {
+            budget: Some(SimDuration::from_ms(1)),
+            ..RetryPolicy::same_rack()
+        };
         let sent = SimTime::from_us(100);
         assert!(!p.budget_exhausted(sent, sent + SimDuration::from_us(999)));
         assert!(!p.budget_exhausted(sent, sent + SimDuration::from_ms(1)));

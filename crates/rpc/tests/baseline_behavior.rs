@@ -5,7 +5,7 @@
 use lauberhorn_rpc::sim_bypass::{BypassSim, BypassSimConfig};
 use lauberhorn_rpc::sim_kernel::{KernelSim, KernelSimConfig};
 use lauberhorn_rpc::spec::LoadMode;
-use lauberhorn_rpc::{ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::SimDuration;
 use lauberhorn_workload::{ArrivalProcess, DynamicMix, SizeDist};
 

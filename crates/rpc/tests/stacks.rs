@@ -5,7 +5,7 @@
 use lauberhorn_rpc::sim_bypass::BypassSimConfig;
 use lauberhorn_rpc::sim_kernel::KernelSimConfig;
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
-use lauberhorn_rpc::{BypassSim, KernelSim, LauberhornSim, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{BypassSim, KernelSim, LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_workload::SizeDist;
 
 fn services_one() -> Vec<ServiceSpec> {

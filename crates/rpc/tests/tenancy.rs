@@ -4,7 +4,7 @@
 //! guarantee that an unarmed tenancy/fault plan changes nothing.
 
 use lauberhorn_rpc::sim_lauberhorn::LauberhornSimConfig;
-use lauberhorn_rpc::{LauberhornSim, ServiceSpec, WorkloadSpec};
+use lauberhorn_rpc::{LauberhornSim, ServerStack, ServiceSpec, WorkloadSpec};
 use lauberhorn_sim::{
     FaultPlan, OverloadConfig, SimDuration, TenancyConfig, TenantFaultSpec, TenantSpec,
 };

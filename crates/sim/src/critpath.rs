@@ -356,23 +356,6 @@ impl BlameProfile {
         row.get(BlameClass::Queueing.idx())
             .map(|ps| ps * 1000 / total)
     }
-
-    /// Per-class share of total attributed time, in permille (integer,
-    /// so artifacts stay deterministic). Sums to ≤ 1000.
-    pub fn class_permille(&self) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        if self.total_ps == 0 {
-            return out;
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self
-                .by_class_ps
-                .get(i)
-                .map(|ps| ps * 1000 / self.total_ps)
-                .unwrap_or(0);
-        }
-        out
-    }
 }
 
 /// Renders a blame profile as an ASCII table: the class decomposition,
@@ -564,18 +547,6 @@ mod tests {
         let table = blame_table(&prof);
         assert!(table.contains("recovery"), "{table}");
         assert!(table.contains("service"), "{table}");
-    }
-
-    #[test]
-    fn permille_shares_are_integer_deterministic() {
-        let mut tr = tracer();
-        let root = tr.begin(t(0), Stage::Request, Some(1), SpanId::NONE, 1000);
-        tr.span(Stage::Handler, Some(1), root, 0, t(0), t(750));
-        tr.end(root, t(1000));
-        let prof = BlameProfile::build(&critical_paths(tr.spans()), |_| None);
-        let pm = prof.class_permille();
-        assert_eq!(pm[BlameClass::Service.idx()], 750);
-        assert_eq!(pm[BlameClass::Queueing.idx()], 250);
     }
 
     #[test]

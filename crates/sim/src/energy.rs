@@ -127,15 +127,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Finalises accounting up to `now` and returns the per-core
-    /// accounts.
-    pub fn finish(mut self, now: SimTime) -> Vec<CycleAccount> {
-        for core in 0..self.accounts.len() {
-            self.charge(core, now);
-        }
-        self.accounts
-    }
-
     /// Sum of all per-core accounts up to `now` without consuming the
     /// meter.
     pub fn snapshot_total(&mut self, now: SimTime) -> CycleAccount {
@@ -159,11 +150,11 @@ mod tests {
         let mut m = EnergyMeter::new(1);
         m.set_state(0, CoreState::Active, SimTime::from_us(10)); // idle 0..10
         m.set_state(0, CoreState::Stalled, SimTime::from_us(30)); // active 10..30
-        let accounts = m.finish(SimTime::from_us(100)); // stalled 30..100
-        assert_eq!(accounts[0].idle, SimDuration::from_us(10));
-        assert_eq!(accounts[0].active, SimDuration::from_us(20));
-        assert_eq!(accounts[0].stalled, SimDuration::from_us(70));
-        assert_eq!(accounts[0].total(), SimDuration::from_us(100));
+        let account = m.snapshot_total(SimTime::from_us(100)); // stalled 30..100
+        assert_eq!(account.idle, SimDuration::from_us(10));
+        assert_eq!(account.active, SimDuration::from_us(20));
+        assert_eq!(account.stalled, SimDuration::from_us(70));
+        assert_eq!(account.total(), SimDuration::from_us(100));
     }
 
     #[test]

@@ -168,13 +168,6 @@ impl SimRng {
         Self::root(seed ^ fnv1a(label.as_bytes()))
     }
 
-    /// Derives a child stream from this one; used when a component wants
-    /// to hand isolated randomness to a sub-component.
-    pub fn fork(&mut self, label: &str) -> Self {
-        let s = self.inner.next_u64();
-        Self::root(s ^ fnv1a(label.as_bytes()))
-    }
-
     /// Uniform sample from an integer range (rejection sampling,
     /// unbiased). Accepts `lo..hi` and `lo..=hi`.
     pub fn gen_range(&mut self, range: impl std::ops::RangeBounds<usize>) -> usize {
@@ -235,13 +228,6 @@ impl SimRng {
         // Inverse-CDF; 1-u avoids ln(0).
         let u = self.gen_f64();
         -mean * (1.0 - u).ln()
-    }
-
-    /// Standard normal sample (Box–Muller).
-    pub fn normal(&mut self) -> f64 {
-        let u1 = 1.0 - self.gen_f64();
-        let u2 = self.gen_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Fills `buf` with random bytes (e.g. synthetic payloads).
@@ -332,17 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_are_close() {
-        let mut r = SimRng::stream(7, "norm");
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var was {var}");
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut r = SimRng::stream(9, "w");
         let w = [1.0, 0.0, 3.0];
@@ -360,13 +335,6 @@ mod tests {
         let mut r = SimRng::stream(9, "w2");
         assert_eq!(r.weighted_index(&[]), None);
         assert_eq!(r.weighted_index(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn fork_differs_from_parent() {
-        let mut a = SimRng::stream(1, "p");
-        let mut child = a.fork("c");
-        assert_ne!(a.gen_u64(), child.gen_u64());
     }
 
     #[test]
